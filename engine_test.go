@@ -301,6 +301,54 @@ func TestEngineFormIntoSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEngineFormIntoSplitBranchSteadyStateZeroAlloc holds the other
+// finalization branch to the same bar. On the clustered catalog of
+// BenchmarkEngineForm these configs form fewer buckets than L=50, so a
+// warm serial solve splits buckets into pieces: LM-MAX pieces complete
+// their lists through a top-k, and LM-MIN's strict pieces rescore the
+// bucket list over their own members.
+func TestEngineFormIntoSplitBranchSteadyStateZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10k-user dataset")
+	}
+	ds, err := Generate(SynthConfig{
+		Users: 10_000, Items: 1_000, Clusters: 200,
+		RatingsPerUser: 60, OrderCorrelation: 0.9, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewScratch()
+	ctx := context.Background()
+	for _, cfg := range []Config{
+		{K: 2, L: 50, Semantics: LM, Aggregation: Max},
+		{K: 5, L: 50, Semantics: LM, Aggregation: Max},
+		{K: 2, L: 50, Semantics: LM, Aggregation: Min},
+	} {
+		for i := 0; i < 3; i++ {
+			res, err := eng.FormInto(ctx, cfg, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Buckets >= cfg.L {
+				t.Fatalf("%v-%v K=%d: %d buckets for L=%d, want the split branch", cfg.Semantics, cfg.Aggregation, cfg.K, res.Buckets, cfg.L)
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := eng.FormInto(ctx, cfg, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v-%v K=%d: warm split-branch Engine.FormInto allocated %v times per solve, want 0", cfg.Semantics, cfg.Aggregation, cfg.K, allocs)
+		}
+	}
+}
+
 // TestEngineFormIntoAnytimeSteadyStateZeroAlloc pins the graceful-
 // degradation acceptance bar: turning on Config.Anytime must not cost
 // the warm serving path anything — a steady-state serial FormInto that

@@ -128,11 +128,21 @@ func (c Config) Validate(ds *dataset.Dataset) error {
 	if ds == nil || ds.NumUsers() == 0 {
 		return gferr.BadConfigf("core: Dataset must be non-empty")
 	}
-	if c.K <= 0 {
-		return gferr.BadConfigf("core: K must be positive, got %d", c.K)
+	if err := c.validateParams(); err != nil {
+		return err
 	}
 	if c.K > ds.NumItems() {
 		return gferr.BadConfigf("core: K=%d exceeds item count %d", c.K, ds.NumItems())
+	}
+	return nil
+}
+
+// validateParams is Validate without a Dataset: FinalizeMerged runs
+// where no ratings are (the router), so the dataset-dependent checks
+// happen on the shards instead.
+func (c Config) validateParams() error {
+	if c.K <= 0 {
+		return gferr.BadConfigf("core: K must be positive, got %d", c.K)
 	}
 	if c.L <= 0 {
 		return gferr.BadConfigf("core: L must be positive, got %d", c.L)
@@ -323,36 +333,12 @@ func (s *Scratch) form(ctx context.Context, ds *dataset.Dataset, cfg Config, pre
 //
 //gfvet:zeroalloc
 func (s *Scratch) run(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList) (*Result, error) {
-	if err := cfg.Validate(ds); err != nil {
-		return nil, err
-	}
-	if err := gferr.Ctx(ctx); err != nil {
+	shared := prefs != nil
+	prefs, err := prepare(ctx, ds, cfg, prefs)
+	if err != nil {
 		return nil, err
 	}
 	workers := cfg.EffectiveWorkers()
-	shared := prefs != nil
-	if prefs == nil {
-		var err error
-		prefs, err = rank.AllTopKParallel(ctx, ds, cfg.K, cfg.Missing, workers)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// The lists' missing-value imputation is not recoverable from
-		// the lists themselves, so that part of the contract stays
-		// with the caller (the Engine keys its cache by it); length
-		// mismatches — the wrong dataset or lists built for another K
-		// — are cheap to catch and would otherwise form wrong groups
-		// silently.
-		if len(prefs) != ds.NumUsers() {
-			//gfvet:allow hotpathalloc -- cold validation path; boxing only happens when the config is already wrong
-			return nil, gferr.BadConfigf("core: prefs has %d lists for %d users", len(prefs), ds.NumUsers())
-		}
-		if len(prefs[0].Items) != cfg.K {
-			//gfvet:allow hotpathalloc -- cold validation path; boxing only happens when the config is already wrong
-			return nil, gferr.BadConfigf("core: prefs built for K=%d, cfg.K=%d", len(prefs[0].Items), cfg.K)
-		}
-	}
 	var buckets []*bucket
 	if par.Enabled(workers) {
 		buckets = bucketizeParallel(prefs, cfg, workers, s)
@@ -365,230 +351,194 @@ func (s *Scratch) run(ctx context.Context, ds *dataset.Dataset, cfg Config, pref
 	res := s.newResult()
 	res.Buckets = len(buckets)
 	res.Algorithm = cfg.AlgorithmName()
-	scorer := cfg.scorer(ds)
-
-	if len(buckets) <= cfg.L {
-		// Fewer intermediate groups than the budget allows: every
-		// bucket becomes final and, because the objective only grows
-		// with the number of groups (Section 4.1, step 2), surplus
-		// budget is spent splitting buckets. Splitting preserves each
-		// piece's satisfaction under LM (members are
-		// indistinguishable w.r.t. the aggregated score) and is
-		// neutral under AV (bucket satisfaction is additive over
-		// members), so splitting the highest-satisfaction buckets
-		// first is optimal given the bucketing — and is required for
-		// the rmax absolute-error guarantee of Theorem 2 when l
-		// exceeds the bucket count.
-		groups, total, err := s.splitBuckets(ctx, ds, scorer, buckets, cfg)
-		if err != nil {
-			if dres, ok := degraded(res, groups, err, prefs, cfg, total); ok {
-				return dres, nil
+	tasks := s.plan(buckets, cfg)
+	groups := s.groupSlice(len(tasks))
+	s.oracle = localOracle{sc: cfg.scorer(ds), s: s}
+	// The serial path finalizes every group on the scratch's oracle;
+	// the parallel path fans the bucket groups out first and leaves
+	// the merged remainder to the same loop.
+	done := 0
+	if par.Enabled(workers) {
+		done, err = s.fanOut(ctx, cfg, tasks, groups, workers)
+	}
+	if err == nil {
+		for ; done < len(tasks); done++ {
+			if groups[done], err = finalizeTask(ctx, cfg, tasks[done], &s.oracle); err != nil {
+				break
 			}
-			return nil, err
-		}
-		res.Groups = groups
-	} else {
-		h := newBucketHeapInto(&s.heap, buckets, cfg.Aggregation)
-		popped := slices.Grow(s.popped[:0], cfg.L-1)
-		for len(popped) < cfg.L-1 {
-			popped = append(popped, heap.Pop(h).(*bucket))
-		}
-		s.popped = popped
-		// Finalization of the popped buckets is independent per
-		// bucket, so it fans out; each task writes only its own
-		// index (see nestedScorer for when the per-bucket top-k
-		// keeps its own parallelism). The serial path threads the
-		// scratch through instead — the fan-out tasks must not share
-		// its single top-k buffer.
-		groups := s.groupSlice(len(popped))
-		errs := s.errSlice(len(popped))
-		bucketScorer := nestedScorer(scorer, len(popped), workers)
-		if par.Enabled(workers) {
-			//gfvet:allow hotpathalloc -- parallel fan-out allocates its own escaping memory by design; the zero-alloc contract is serial
-			par.Do(len(popped), workers, func(i int) {
-				if err := gferr.Ctx(ctx); err != nil {
-					errs[i] = err
-					return
-				}
-				groups[i], errs[i] = finalizeBucket(bucketScorer, popped[i], popped[i].members, cfg, nil)
-			})
-		} else {
-			for i := range popped {
-				if err := gferr.Ctx(ctx); err != nil {
-					errs[i] = err
-					break
-				}
-				groups[i], errs[i] = finalizeBucket(bucketScorer, popped[i], popped[i].members, cfg, s)
-			}
-		}
-		if err := firstErr(errs); err != nil {
-			if dres, ok := degraded(res, groups[:completedPrefix(errs)], err, prefs, cfg, cfg.L); ok {
-				return dres, nil
-			}
-			return nil, err
-		}
-		res.Groups = groups
-		// Merge the remaining buckets into the l-th group and
-		// compute its top-k list from scratch.
-		rest := s.rest[:0]
-		for h.Len() > 0 {
-			b := heap.Pop(h).(*bucket)
-			rest = append(rest, b.members...)
-		}
-		if s.owned {
-			s.rest = rest
-		}
-		sortUsers(rest)
-		if err := gferr.Ctx(ctx); err != nil {
-			if dres, ok := degraded(res, groups, err, prefs, cfg, cfg.L); ok {
-				return dres, nil
-			}
-			return nil, err
-		}
-		items, scores, err := scorer.TopKInto(cfg.Semantics, rest, cfg.K, &s.topk)
-		if err != nil {
-			return nil, err
-		}
-		res.Groups = append(res.Groups, Group{
-			Members:      rest,
-			Items:        s.itemArena.copyIn(items),
-			ItemScores:   s.scoreArena.copyIn(scores),
-			Satisfaction: cfg.Aggregation.Aggregate(scores),
-			Merged:       true,
-		})
-		if s.owned {
-			s.groups = res.Groups
 		}
 	}
-	for _, g := range res.Groups {
+	// A scratch outlives its run (pools, leases); it must not pin ds.
+	s.oracle = localOracle{}
+	if err != nil {
+		if dres, ok := degraded(res, groups[:done], err, prefs, cfg, len(tasks)); ok {
+			return dres, nil
+		}
+		return nil, err
+	}
+	res.Groups = groups
+	for _, g := range groups {
 		res.Objective += g.Satisfaction
 	}
 	return res, nil
 }
 
-// splitBuckets handles the case of at most L buckets: each bucket
-// yields at least one group, and the L - len(buckets) surplus group
-// slots are awarded as extra pieces to buckets in heap order
-// (satisfaction first). Under LM every piece of a bucket scores the
-// full bucket satisfaction, so this maximizes the objective over all
-// ways to spend the budget; under AV the per-piece satisfactions
-// always sum to the bucket's, so splitting is harmless either way.
-// total reports the number of planned pieces; on a cancellation error
-// the returned slice still holds the error-free prefix of completed
-// groups so the anytime path can degrade onto it.
+// prepare validates a run of cfg over ds and returns its preference
+// lists: prefs itself when supplied, freshly built otherwise.
 //
 //gfvet:zeroalloc
-func (s *Scratch) splitBuckets(ctx context.Context, ds *dataset.Dataset, scorer semantics.Scorer, buckets []*bucket, cfg Config) ([]Group, int, error) {
+func prepare(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList) ([]rank.PrefList, error) {
+	if err := cfg.Validate(ds); err != nil {
+		return nil, err
+	}
+	if err := gferr.Ctx(ctx); err != nil {
+		return nil, err
+	}
+	if prefs == nil {
+		return rank.AllTopKParallel(ctx, ds, cfg.K, cfg.Missing, cfg.EffectiveWorkers())
+	}
+	// The lists' missing-value imputation is not recoverable from the
+	// lists themselves, so that part of the contract stays with the
+	// caller (the Engine keys its cache by it); length mismatches — the
+	// wrong dataset or lists built for another K — are cheap to catch
+	// and would otherwise form wrong groups silently.
+	if len(prefs) != ds.NumUsers() {
+		//gfvet:allow hotpathalloc -- cold validation path; boxing only happens when the config is already wrong
+		return nil, gferr.BadConfigf("core: prefs has %d lists for %d users", len(prefs), ds.NumUsers())
+	}
+	if len(prefs[0].Items) != cfg.K {
+		//gfvet:allow hotpathalloc -- cold validation path; boxing only happens when the config is already wrong
+		return nil, gferr.BadConfigf("core: prefs built for K=%d, cfg.K=%d", len(prefs[0].Items), cfg.K)
+	}
+	return prefs, nil
+}
+
+// groupTask is one group of a finalization plan.
+type groupTask struct {
+	// b is the source bucket; nil for the merged remainder.
+	b *bucket
+	// members are the group's users, ascending.
+	members []dataset.UserID
+	// refold marks a strict piece of a full-sequence bucket: it keeps
+	// the bucket's list, rescored over its own members.
+	refold bool
+	// merged marks the l-th group, every bucket left on the heap.
+	merged bool
+}
+
+// plan lays out steps 3 and 4 of the framework from the bucket heap
+// alone, without a rating probe, and returns every group in output
+// order. With more buckets than L, the L-1 best buckets are groups of
+// their own and every remaining member joins the merged l-th group,
+// listed last. Otherwise every bucket becomes final and, because the
+// objective only grows with the number of groups (Section 4.1, step
+// 2), the L - len(buckets) surplus groups go, one at a time, to the
+// best bucket that can still be split. Splitting preserves each
+// piece's satisfaction under LM (members are indistinguishable w.r.t.
+// the aggregated score) and is neutral under AV (bucket satisfaction
+// is additive over members), so splitting the best buckets first is
+// optimal given the bucketing — and is required for the rmax
+// absolute-error guarantee of Theorem 2 when l exceeds the bucket
+// count. Pieces are contiguous, near-even cuts (par.Range) of the
+// bucket's members, which plan sorts in place; the cuts depend on the
+// bucket sizes alone, so every worker count finalizes the same plan.
+//
+//gfvet:zeroalloc
+func (s *Scratch) plan(buckets []*bucket, cfg Config) []groupTask {
 	h := newBucketHeapInto(&s.heap, buckets, cfg.Aggregation)
-	ordered := slices.Grow(s.popped[:0], len(buckets))
-	for h.Len() > 0 {
-		ordered = append(ordered, heap.Pop(h).(*bucket))
-	}
-	s.popped = ordered
-	if cap(s.pieces) < len(ordered) {
-		s.pieces = make([]int, len(ordered))
-	}
-	pieces := s.pieces[:len(ordered)]
-	total := 0
-	for i := range ordered {
-		pieces[i] = 1
-		total++
-	}
-	for total < cfg.L {
-		// Give one more piece to the best bucket that can still be
-		// split further.
-		best := -1
-		for i, b := range ordered {
-			if pieces[i] < len(b.members) {
-				best = i
-				break // ordered by satisfaction already
-			}
-		}
-		if best < 0 {
-			break // every bucket fully split into singletons
-		}
-		pieces[best]++
-		total++
-	}
-	// Slice every bucket into its pieces up front, then materialize
-	// the pieces on the worker pool: each piece reads only its own
-	// disjoint member sub-slice and writes only its own index, and
-	// the slicing itself is deterministic (par.Ranges' contiguous,
-	// near-even chunks — the pipeline's one partitioning convention),
-	// so the output is identical for every worker count. Unsplit
-	// buckets skip the par.Ranges call — a single range over all
-	// members is its trivial (and allocation-free) result.
 	tasks := s.tasks[:0]
-	for i, b := range ordered {
-		sortUsers(b.members)
-		n := len(b.members)
-		if pieces[i] == 1 {
-			tasks = append(tasks, pieceTask{b: b, part: b.members})
-			continue
+	if len(buckets) > cfg.L {
+		for len(tasks) < cfg.L-1 {
+			b := heap.Pop(h).(*bucket)
+			sortUsers(b.members)
+			tasks = append(tasks, groupTask{b: b, members: b.members})
 		}
-		for _, r := range par.Ranges(n, pieces[i]) {
-			part := b.members[r[0]:r[1]]
-			tasks = append(tasks, pieceTask{
-				b:    b,
-				part: part,
-				// A strict piece of a full-sequence bucket refolds
-				// the stored positions over the piece's members; all
-				// other pieces finalize like a whole bucket.
-				refold: len(b.items) == cfg.K && len(part) < n,
-			})
+		rest := s.rest[:0]
+		for h.Len() > 0 {
+			rest = append(rest, heap.Pop(h).(*bucket).members...)
+		}
+		if s.owned {
+			s.rest = rest
+		}
+		sortUsers(rest)
+		tasks = append(tasks, groupTask{members: rest, merged: true})
+	} else {
+		surplus := cfg.L - len(buckets)
+		for h.Len() > 0 {
+			b := heap.Pop(h).(*bucket)
+			sortUsers(b.members)
+			n := len(b.members)
+			parts := 1 + min(surplus, n-1)
+			surplus -= parts - 1
+			for p := 0; p < parts; p++ {
+				lo, hi := par.Range(n, parts, p)
+				tasks = append(tasks, groupTask{
+					b:       b,
+					members: b.members[lo:hi],
+					refold:  parts > 1 && len(b.items) == cfg.K,
+				})
+			}
 		}
 	}
 	s.tasks = tasks
-	groups := s.groupSlice(len(tasks))
-	errs := s.errSlice(len(tasks))
-	workers := cfg.EffectiveWorkers()
-	pieceScorer := nestedScorer(scorer, len(tasks), workers)
-	materialize := func(i int, sc *Scratch) {
-		if err := gferr.Ctx(ctx); err != nil {
-			errs[i] = err
-			return
-		}
-		t := tasks[i]
-		if t.refold {
-			g := Group{
-				Members:    t.part,
-				Items:      t.b.items,
-				ItemScores: pieceScores(ds, scorer, t.part, t.b, cfg, sc),
-			}
-			g.Satisfaction = cfg.Aggregation.Aggregate(g.ItemScores)
-			groups[i] = g
-			return
-		}
-		groups[i], errs[i] = finalizeBucket(pieceScorer, t.b, t.part, cfg, sc)
-	}
-	if par.Enabled(workers) {
-		// Fan-out tasks must not share the scratch's single top-k
-		// buffer and arenas; they allocate their own escaping memory.
-		//gfvet:allow hotpathalloc -- parallel fan-out allocates its own escaping memory by design; the zero-alloc contract is serial
-		par.Do(len(tasks), workers, func(i int) { materialize(i, nil) })
-	} else {
-		for i := range tasks {
-			materialize(i, s)
-		}
-	}
-	if err := firstErr(errs); err != nil {
-		return groups[:completedPrefix(errs)], len(tasks), err
-	}
-	return groups, len(tasks), nil
+	return tasks
 }
 
-// completedPrefix counts the error-free prefix of a fan-out's error
-// slice: every group before the first error finalized successfully,
-// which is exactly the incumbent the anytime path may return (the
-// serial loops stop at the first error, so the prefix is also all
-// there is).
-func completedPrefix(errs []error) int {
+// finalizeTask turns one planned group into a Group, asking o for what
+// the plan cannot know without ratings. A whole bucket keeps its
+// shared top-k sequence and maintained scores (a valid group list
+// under either semantics; see the package comment). A strict piece of
+// a full-sequence bucket keeps the list rescored over its own members:
+// LM minima can only rise and AV sums shrink to the piece. An LM-MAX
+// bucket stores only its (top item, score) pair, so its list — like
+// the merged remainder's — comes from a full top-k, which cannot
+// change the Max-aggregated satisfaction.
+//
+//gfvet:zeroalloc
+func finalizeTask(ctx context.Context, cfg Config, t groupTask, o ScoreOracle) (Group, error) {
+	if err := gferr.Ctx(ctx); err != nil {
+		return Group{}, err
+	}
+	g := Group{Members: t.members, Merged: t.merged}
+	var err error
+	switch {
+	case t.refold:
+		g.Items = t.b.items
+		g.ItemScores, err = o.GroupScores(ctx, cfg.Semantics, t.members, t.b.items)
+	case t.merged || len(t.b.items) < cfg.K:
+		g.Items, g.ItemScores, err = o.GroupTopK(ctx, cfg.Semantics, t.members, cfg.K)
+	default:
+		g.Items, g.ItemScores = t.b.items, t.b.scores
+	}
+	if err != nil {
+		return Group{}, err
+	}
+	g.Satisfaction = cfg.Aggregation.Aggregate(g.ItemScores)
+	return g, nil
+}
+
+// fanOut finalizes the planned bucket groups on the worker pool. Each
+// task writes only its own index and answers through a scratch-free
+// copy of s.oracle — the tasks must not share the scratch's single
+// top-k buffer and arenas — whose scorer follows nestedScorer. A
+// merged remainder, planned last, is left to the caller. It returns
+// how many leading groups finalized and the first error.
+func (s *Scratch) fanOut(ctx context.Context, cfg Config, tasks []groupTask, groups []Group, workers int) (int, error) {
+	n := len(tasks)
+	if tasks[n-1].merged {
+		n--
+	}
+	errs := s.errSlice(n)
+	o := &localOracle{sc: nestedScorer(s.oracle.sc, n, workers)}
+	par.Do(n, workers, func(i int) {
+		groups[i], errs[i] = finalizeTask(ctx, cfg, tasks[i], o)
+	})
 	for i, err := range errs {
 		if err != nil {
-			return i
+			return i, err
 		}
 	}
-	return len(errs)
+	return n, nil
 }
 
 // degraded assembles the anytime certificate over the completed
@@ -611,51 +561,12 @@ func degraded(res *Result, groups []Group, err error, prefs []rank.PrefList, cfg
 	return res, true
 }
 
-// anytimeBound computes an admissible upper bound on the optimum
-// objective from the preference lists alone, with no context
-// involvement — it must stay callable after the deadline has fired.
-//
-// LM: a group's satisfaction never exceeds any member's singleton
-// satisfaction (group item scores are pointwise at most each member's
-// own, every aggregation here is monotone, and a member's own top-k
-// list maximizes the aggregation over any k items), so OPT is at most
-// min(L, n) groups each worth the best singleton satisfaction.
-//
-// AV: every item's group score is at most the sum over members of
-// w_u * mx_u (mx_u bounds u's score of any item: the larger of the
-// top preference score and the Missing imputation), a score list
-// bounded pointwise by a constant c aggregates to at most
-// c * Aggregate(1,...,1), and the groups partition the users — so the
-// per-user contributions sum once over the whole population. This is
-// the same admissible-bound argument branch-and-bound prunes with.
+// anytimeBound is the admissible upper bound on the optimum objective
+// over the whole population: CombineBounds over its one contribution.
+// It reads the preference lists alone, so it stays callable after the
+// deadline has fired.
 func anytimeBound(prefs []rank.PrefList, cfg Config) float64 {
-	if cfg.Semantics == semantics.LM {
-		best := math.Inf(-1)
-		for _, p := range prefs {
-			if s := cfg.Aggregation.Aggregate(p.Scores); s > best {
-				best = s
-			}
-		}
-		groups := cfg.L
-		if len(prefs) < groups {
-			groups = len(prefs)
-		}
-		return float64(groups) * best
-	}
-	ones := make([]float64, cfg.K)
-	for j := range ones {
-		ones[j] = 1
-	}
-	aggFactor := cfg.Aggregation.Aggregate(ones)
-	total := 0.0
-	for _, p := range prefs {
-		mx := p.Scores[0]
-		if cfg.Missing > mx {
-			mx = cfg.Missing
-		}
-		total += cfg.weight(p.User) * mx
-	}
-	return total * aggFactor
+	return CombineBounds([]float64{BoundContribution(prefs, cfg)}, len(prefs), cfg)
 }
 
 // nestedScorer decides whether scorer calls made from inside an
@@ -675,74 +586,66 @@ func nestedScorer(scorer semantics.Scorer, tasks, workers int) semantics.Scorer 
 	return scorer
 }
 
-// pieceScores recomputes the per-position group scores of a bucket
-// piece directly from the ratings, in index space: members and items
-// resolve to dense indices once, and every probe after that is a
-// binary search over a CSR row (semantics.Scorer.ItemScoreIdx). For
-// an unsplit bucket this equals the maintained scores; for a strict
-// subset, LM minima can only rise and AV sums shrink to the piece's
-// members. Piece members always come from preference lists, so they
-// resolve by construction. With a scratch, the member-index buffer is
-// reused and the scores are carved from the score arena; without one
-// (parallel fan-out) both allocate.
-func pieceScores(ds *dataset.Dataset, scorer semantics.Scorer, part []dataset.UserID, b *bucket, cfg Config, s *Scratch) []float64 {
-	if len(part) == len(b.members) {
-		return b.scores
-	}
-	var midx []dataset.UserIdx
-	if s != nil {
-		if cap(s.midx) < len(part) {
-			s.midx = make([]dataset.UserIdx, len(part))
-		}
-		midx = s.midx[:len(part)]
-	} else {
-		midx = make([]dataset.UserIdx, len(part))
-	}
-	scores := s.takeScores(len(b.items))
-	for i, u := range part {
-		midx[i], _ = ds.UserIdxOf(u)
-	}
-	for j, it := range b.items {
-		ij, _ := ds.ItemIdxOf(it)
-		scores[j] = scorer.ItemScoreIdx(cfg.Semantics, midx, ij)
-	}
-	return scores
+// localOracle answers the finalizer's probes from the in-process
+// dataset behind sc. With a scratch (run()'s serial path and merged
+// remainder) the answers are carved from the scratch's top-k buffer
+// and arenas, allocation-free once warm; without one (fan-out tasks,
+// LocalOracle) they are freshly allocated. It does not poll ctx: the
+// finalizer polls between groups.
+type localOracle struct {
+	sc semantics.Scorer
+	s  *Scratch
 }
 
-// finalizeBucket converts an intermediate group (or a piece of one,
-// given by members) into a final Group. For full-sequence buckets the
-// recommended list is the shared top-k sequence with the maintained
-// scores; LM-MAX buckets store only the shared (top item, score) pair
-// and their list tail is completed from the ratings, which cannot
-// change the Max-aggregated satisfaction. With a scratch the completed
-// list goes through the scratch's top-k buffer and is copied into the
-// item/score arenas; without one (parallel fan-out) the allocating
-// TopK runs.
-func finalizeBucket(scorer semantics.Scorer, b *bucket, members []dataset.UserID, cfg Config, s *Scratch) (Group, error) {
-	sortUsers(members)
-	items, scores := b.items, b.scores
-	if len(items) < cfg.K {
-		if s != nil {
-			ti, ts, err := scorer.TopKInto(cfg.Semantics, members, cfg.K, &s.topk)
-			if err != nil {
-				return Group{}, err
-			}
-			items = s.itemArena.copyIn(ti)
-			scores = s.scoreArena.copyIn(ts)
-		} else {
-			var err error
-			items, scores, err = scorer.TopK(cfg.Semantics, members, cfg.K)
-			if err != nil {
-				return Group{}, err
-			}
+// GroupScores rescores items over members in index space: both resolve
+// to dense indices once, and every probe after that is a binary search
+// over a CSR row (semantics.Scorer.ItemScoreIdx).
+//
+//gfvet:zeroalloc
+func (o *localOracle) GroupScores(_ context.Context, sem semantics.Semantics, members []dataset.UserID, items []dataset.ItemID) ([]float64, error) {
+	var midx []dataset.UserIdx
+	if o.s != nil {
+		if cap(o.s.midx) < len(members) {
+			o.s.midx = make([]dataset.UserIdx, len(members))
 		}
+		midx = o.s.midx[:len(members)]
+	} else {
+		midx = make([]dataset.UserIdx, len(members))
 	}
-	return Group{
-		Members:      members,
-		Items:        items,
-		ItemScores:   scores,
-		Satisfaction: cfg.Aggregation.Aggregate(scores),
-	}, nil
+	//gfvet:allow ctxcadence -- one index lookup per member of a single group; the finalizer polls between groups
+	for i, u := range members {
+		r, ok := o.sc.DS.UserIdxOf(u)
+		if !ok {
+			//gfvet:allow hotpathalloc -- cold validation path; boxing only happens when the input is already wrong
+			return nil, gferr.BadConfigf("core: group member %d is not in the dataset", u)
+		}
+		midx[i] = r
+	}
+	scores := o.s.takeScores(len(items))
+	//gfvet:allow ctxcadence -- one probe per listed item (K of them); the finalizer polls between groups
+	for j, it := range items {
+		ij, ok := o.sc.DS.ItemIdxOf(it)
+		if !ok {
+			//gfvet:allow hotpathalloc -- cold validation path; boxing only happens when the input is already wrong
+			return nil, gferr.BadConfigf("core: group item %d is not in the dataset", it)
+		}
+		scores[j] = o.sc.ItemScoreIdx(sem, midx, ij)
+	}
+	return scores, nil
+}
+
+// GroupTopK is the full top-k computation over members.
+//
+//gfvet:zeroalloc
+func (o *localOracle) GroupTopK(_ context.Context, sem semantics.Semantics, members []dataset.UserID, k int) ([]dataset.ItemID, []float64, error) {
+	if o.s == nil {
+		return o.sc.TopK(sem, members, k)
+	}
+	items, scores, err := o.sc.TopKInto(sem, members, k, &o.s.topk)
+	if err != nil {
+		return nil, nil, err
+	}
+	return o.s.itemArena.copyIn(items), o.s.scoreArena.copyIn(scores), nil
 }
 
 // bucketize hashes every user's preference list into intermediate
@@ -867,7 +770,7 @@ func (s *Scratch) fillMembers(prefs []rank.PrefList, bs []bucket, counts []int32
 // takeScores returns a length-n score buffer: carved from the score
 // arena when a scratch is available, heap-allocated from the parallel
 // fan-outs that must not share the scratch (the same nil convention
-// pieceScores and finalizeBucket use).
+// localOracle uses).
 //
 //gfvet:zeroalloc
 func (s *Scratch) takeScores(n int) []float64 {

@@ -320,7 +320,7 @@ func TestMoreGroupsThanBuckets(t *testing.T) {
 	// With l >= n the optimum is all singletons, each scoring the
 	// user's personal best: for Example 1 at k=1 that is
 	// 4+5+5+5+3+5 = 27. The surplus group budget must be spent
-	// splitting buckets (see splitBuckets); stopping at the 4 whole
+	// splitting buckets (see Scratch.plan); stopping at the 4 whole
 	// buckets would score only 17 and break the rmax error bound.
 	res, err := Form(context.Background(), example1(t), Config{K: 1, L: 10, Semantics: semantics.LM, Aggregation: semantics.Min})
 	if err != nil {

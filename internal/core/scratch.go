@@ -100,13 +100,6 @@ func (a *arena[T]) copyIn(src []T) []T {
 	return dst
 }
 
-// pieceTask is one bucket piece to materialize in splitBuckets.
-type pieceTask struct {
-	b      *bucket
-	part   []dataset.UserID
-	refold bool
-}
-
 // Scratch owns the reusable state of formation runs. The zero value is
 // ready to use; NewScratch pre-sizes nothing and exists for symmetry
 // with the facade. See the package comment of this file for the
@@ -133,14 +126,13 @@ type Scratch struct {
 	itemArena   arena[dataset.ItemID]
 
 	heap   bucketHeap
-	popped []*bucket
-	pieces []int
-	tasks  []pieceTask
+	tasks  []groupTask
 	groups []Group
 	errs   []error
 	rest   []dataset.UserID
 	midx   []dataset.UserIdx
 	topk   semantics.TopKScratch
+	oracle localOracle
 
 	result Result
 	owned  bool
@@ -184,7 +176,6 @@ func (s *Scratch) begin(owned bool) {
 		// cost O(high-water mark) per serve.
 		clearFull(s.bs)
 		clearFull(s.outPtrs)
-		clearFull(s.popped)
 		clearFull(s.tasks)
 		clearFull(s.errs)
 		clearFull(s.heap.bs)
@@ -253,14 +244,4 @@ func (s *Scratch) newResult() *Result {
 	}
 	s.result = Result{}
 	return &s.result
-}
-
-// firstErr returns the first non-nil error of a task fan-out.
-func firstErr(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"slices"
 
 	"groupform/internal/dataset"
 	"groupform/internal/gferr"
-	"groupform/internal/par"
 	"groupform/internal/rank"
 	"groupform/internal/semantics"
 )
@@ -19,12 +17,14 @@ import (
 // partitionable over users. A shard bucketizes its resident slice
 // (BucketizeShard), the router merges the per-shard buckets exactly
 // the way bucketizeParallel merges its in-process shard passes
-// (MergeShardBuckets), and finalization re-runs run()'s group
-// assembly with every rating probe routed back through a ScoreOracle
-// — locally for tests, over HTTP fan-out in internal/shard.
+// (MergeShardBuckets), and finalization runs run()'s own plan and
+// per-group finalizer with every rating probe routed back through a
+// ScoreOracle — locally for tests, over HTTP fan-out in
+// internal/shard.
 //
-// Parity contract (pinned by TestFinalizeMergedParity and the
-// internal/shard router tests): with contiguous ascending user shards
+// Parity contract (pinned by TestShardedFormParity,
+// TestShardedFormParitySplitBranch and the internal/shard router
+// tests): with contiguous ascending user shards
 // (dataset.ShardUsers), the merged result is byte-identical to
 // Form(ds, cfg) under LM for every shard count — min is associative
 // and the merge replays the serial fold's keep-first rule. Under AV
@@ -64,25 +64,9 @@ type ShardPass struct {
 // fold, so a shard's buckets are literally the shard passes
 // bucketizeParallel would have produced for the same user range.
 func BucketizeShard(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList) (*ShardPass, error) {
-	if err := cfg.Validate(ds); err != nil {
+	prefs, err := prepare(ctx, ds, cfg, prefs)
+	if err != nil {
 		return nil, err
-	}
-	if err := gferr.Ctx(ctx); err != nil {
-		return nil, err
-	}
-	if prefs == nil {
-		var err error
-		prefs, err = rank.AllTopKParallel(ctx, ds, cfg.K, cfg.Missing, cfg.EffectiveWorkers())
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if len(prefs) != ds.NumUsers() {
-			return nil, gferr.BadConfigf("core: prefs has %d lists for %d users", len(prefs), ds.NumUsers())
-		}
-		if len(prefs[0].Items) != cfg.K {
-			return nil, gferr.BadConfigf("core: prefs built for K=%d, cfg.K=%d", len(prefs[0].Items), cfg.K)
-		}
 	}
 	s := NewScratch()
 	s.begin(false)
@@ -155,29 +139,28 @@ func MergeShardBuckets(passes [][]ShardBucket, cfg Config) []ShardBucket {
 	return out
 }
 
-// ScoreOracle answers the two rating-dependent questions run() asks
-// while finalizing buckets, abstracted so FinalizeMerged can run
-// where the ratings are not: GroupScores is the pieceScores probe
-// (the group score of each listed item over the given members) and
-// GroupTopK is the full top-k computation (scorer.TopKInto) for
-// merged remainders and short-listed buckets. Implementations must
-// match the semantics.Scorer arithmetic — LocalOracle is the
-// reference; internal/shard reassembles both answers from per-shard
-// ItemStats partials.
+// ScoreOracle answers the two rating-dependent questions the
+// finalizer asks (finalizeTask), abstracted so FinalizeMerged can run
+// where the ratings are not: GroupScores is the group score of each
+// listed item over the given members (a strict bucket piece's
+// rescore), and GroupTopK is the full top-k computation for merged
+// remainders and short-listed buckets. run() answers through the
+// in-process local oracle, so implementations must match the
+// semantics.Scorer arithmetic; internal/shard reassembles both answers
+// from per-shard ItemStats partials.
 type ScoreOracle interface {
 	GroupScores(ctx context.Context, sem semantics.Semantics, members []dataset.UserID, items []dataset.ItemID) ([]float64, error)
 	GroupTopK(ctx context.Context, sem semantics.Semantics, members []dataset.UserID, k int) ([]dataset.ItemID, []float64, error)
 }
 
-// FinalizeMerged is run() from the bucket list onward: heap-order the
-// merged buckets, split surplus budget or pop the best L-1 plus a
-// merged remainder, and materialize every group — with each rating
-// probe routed through the oracle instead of a local Dataset. The
-// control flow, piece allocation, refold rule, ordering and
-// tie-breaking mirror the single-node code line for line; that is the
-// parity argument's other half.
+// FinalizeMerged is run() from the bucket list onward: the same plan
+// and the same per-group finalizer, with every rating probe routed
+// through the oracle instead of a local Dataset — that shared code is
+// the parity argument's other half. Groups finalize serially whatever
+// cfg.Workers holds, and a failed probe or a cancellation returns a
+// nil Result with the error.
 func FinalizeMerged(ctx context.Context, cfg Config, merged []ShardBucket, o ScoreOracle) (*Result, error) {
-	if err := validateMergedCfg(cfg); err != nil {
+	if err := cfg.validateParams(); err != nil {
 		return nil, err
 	}
 	if len(merged) == 0 {
@@ -202,181 +185,21 @@ func FinalizeMerged(ctx context.Context, cfg Config, merged []ShardBucket, o Sco
 		bs[i] = bucket{key: string(sb.Key), items: sb.Items, scores: sb.Scores, members: sb.Members}
 		buckets[i] = &bs[i]
 	}
-	res := &Result{Buckets: len(buckets), Algorithm: cfg.AlgorithmName()}
-
-	if len(buckets) <= cfg.L {
-		groups, err := splitMergedBuckets(ctx, cfg, buckets, o)
+	tasks := NewScratch().plan(buckets, cfg)
+	res := &Result{Groups: make([]Group, len(tasks)), Buckets: len(buckets), Algorithm: cfg.AlgorithmName()}
+	for i, t := range tasks {
+		g, err := finalizeTask(ctx, cfg, t, o)
 		if err != nil {
 			return nil, err
 		}
-		res.Groups = groups
-	} else {
-		var h bucketHeap
-		newBucketHeapInto(&h, buckets, cfg.Aggregation)
-		popped := make([]*bucket, 0, cfg.L-1)
-		//gfvet:allow ctxcadence -- pops L-1 heap elements, no blocking calls; the finalize loop below re-checks per group
-		for len(popped) < cfg.L-1 {
-			popped = append(popped, heap.Pop(&h).(*bucket))
-		}
-		groups := make([]Group, 0, cfg.L)
-		for _, b := range popped {
-			if err := gferr.Ctx(ctx); err != nil {
-				return nil, err
-			}
-			g, err := finalizeMergedBucket(ctx, cfg, b, b.members, o)
-			if err != nil {
-				return nil, err
-			}
-			groups = append(groups, g)
-		}
-		var rest []dataset.UserID
-		//gfvet:allow ctxcadence -- drains the remaining heap with appends only; the gferr.Ctx immediately below covers the nest
-		for h.Len() > 0 {
-			b := heap.Pop(&h).(*bucket)
-			rest = append(rest, b.members...)
-		}
-		sortUsers(rest)
-		if err := gferr.Ctx(ctx); err != nil {
-			return nil, err
-		}
-		items, scores, err := o.GroupTopK(ctx, cfg.Semantics, rest, cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		groups = append(groups, Group{
-			Members:      rest,
-			Items:        items,
-			ItemScores:   scores,
-			Satisfaction: cfg.Aggregation.Aggregate(scores),
-			Merged:       true,
-		})
-		res.Groups = groups
-	}
-	for _, g := range res.Groups {
+		res.Groups[i] = g
 		res.Objective += g.Satisfaction
 	}
 	return res, nil
 }
 
-// splitMergedBuckets is splitBuckets over the oracle: same heap
-// order, same surplus-piece award loop, same par.Ranges piece cuts,
-// same refold rule — executed serially (the fan-out here is the
-// network, not goroutines).
-func splitMergedBuckets(ctx context.Context, cfg Config, buckets []*bucket, o ScoreOracle) ([]Group, error) {
-	var h bucketHeap
-	newBucketHeapInto(&h, buckets, cfg.Aggregation)
-	ordered := make([]*bucket, 0, len(buckets))
-	for h.Len() > 0 {
-		ordered = append(ordered, heap.Pop(&h).(*bucket))
-	}
-	pieces := make([]int, len(ordered))
-	total := 0
-	for i := range ordered {
-		pieces[i] = 1
-		total++
-	}
-	for total < cfg.L {
-		best := -1
-		for i, b := range ordered {
-			if pieces[i] < len(b.members) {
-				best = i
-				break // ordered by satisfaction already
-			}
-		}
-		if best < 0 {
-			break // every bucket fully split into singletons
-		}
-		pieces[best]++
-		total++
-	}
-	var tasks []pieceTask
-	for i, b := range ordered {
-		sortUsers(b.members)
-		n := len(b.members)
-		if pieces[i] == 1 {
-			tasks = append(tasks, pieceTask{b: b, part: b.members})
-			continue
-		}
-		for _, r := range par.Ranges(n, pieces[i]) {
-			part := b.members[r[0]:r[1]]
-			tasks = append(tasks, pieceTask{
-				b:      b,
-				part:   part,
-				refold: len(b.items) == cfg.K && len(part) < n,
-			})
-		}
-	}
-	groups := make([]Group, 0, len(tasks))
-	for _, t := range tasks {
-		if err := gferr.Ctx(ctx); err != nil {
-			return nil, err
-		}
-		if t.refold {
-			scores, err := o.GroupScores(ctx, cfg.Semantics, t.part, t.b.items)
-			if err != nil {
-				return nil, err
-			}
-			groups = append(groups, Group{
-				Members:      t.part,
-				Items:        t.b.items,
-				ItemScores:   scores,
-				Satisfaction: cfg.Aggregation.Aggregate(scores),
-			})
-			continue
-		}
-		g, err := finalizeMergedBucket(ctx, cfg, t.b, t.part, o)
-		if err != nil {
-			return nil, err
-		}
-		groups = append(groups, g)
-	}
-	return groups, nil
-}
-
-// finalizeMergedBucket is finalizeBucket over the oracle: whole
-// buckets (or unsplit pieces) keep their maintained scores when the
-// stored list is the full sequence; short lists (LM-MAX) complete
-// through a full oracle top-k, which cannot change the
-// Max-aggregated satisfaction.
-func finalizeMergedBucket(ctx context.Context, cfg Config, b *bucket, members []dataset.UserID, o ScoreOracle) (Group, error) {
-	sortUsers(members)
-	items, scores := b.items, b.scores
-	if len(items) < cfg.K {
-		var err error
-		items, scores, err = o.GroupTopK(ctx, cfg.Semantics, members, cfg.K)
-		if err != nil {
-			return Group{}, err
-		}
-	}
-	return Group{
-		Members:      members,
-		Items:        items,
-		ItemScores:   scores,
-		Satisfaction: cfg.Aggregation.Aggregate(scores),
-	}, nil
-}
-
-// validateMergedCfg is Config.Validate without a Dataset: the router
-// holds no ratings, so the dataset-dependent checks (user count, K
-// vs catalog size) happen on the shards instead.
-func validateMergedCfg(cfg Config) error {
-	if cfg.K <= 0 {
-		return gferr.BadConfigf("core: K must be positive, got %d", cfg.K)
-	}
-	if cfg.L <= 0 {
-		return gferr.BadConfigf("core: L must be positive, got %d", cfg.L)
-	}
-	if !cfg.Semantics.Valid() {
-		return gferr.BadConfigf("core: Semantics %d is not LM or AV", int(cfg.Semantics))
-	}
-	if !cfg.Aggregation.Valid() {
-		return gferr.BadConfigf("core: Aggregation %d is unknown", int(cfg.Aggregation))
-	}
-	return nil
-}
-
 // BoundContribution is one shard's component of the anytime bound
-// (anytimeBound decomposed over a user partition): under LM the best
+// (the bound decomposed over a user partition): under LM the best
 // singleton aggregated satisfaction among residents (the global
 // bound takes the max of these), under AV the residents' summed
 // weighted mass Σ w·max(top-1 score, Missing) (the global bound sums
@@ -404,11 +227,25 @@ func BoundContribution(prefs []rank.PrefList, cfg Config) float64 {
 
 // CombineBounds reassembles the admissible anytime bound from
 // per-shard BoundContribution components covering users residents in
-// total. Over the full population this equals anytimeBound exactly
-// under LM (max of maxes) and up to summation reassociation under
-// AV; over a responding subset of shards it is the sound bound for
-// the sub-population actually served — which is what the router's
-// degraded certificate is about.
+// total. Over the full population this equals the single-node bound
+// (anytimeBound) exactly under LM (max of maxes) and up to summation
+// reassociation under AV; over a responding subset of shards it is
+// the sound bound for the sub-population actually served — which is
+// what the router's degraded certificate is about.
+//
+// Why the bound is admissible. LM: a group's satisfaction never
+// exceeds any member's singleton satisfaction (group item scores are
+// pointwise at most each member's own, every aggregation here is
+// monotone, and a member's own top-k list maximizes the aggregation
+// over any k items), so OPT is at most min(L, n) groups each worth the
+// best singleton satisfaction. AV: every item's group score is at most
+// the sum over members of w_u * mx_u (mx_u bounds u's score of any
+// item: the larger of the top preference score and the Missing
+// imputation), a score list bounded pointwise by a constant c
+// aggregates to at most c * Aggregate(1,...,1), and the groups
+// partition the users — so the per-user contributions sum once over
+// the whole population. This is the same admissible-bound argument
+// branch-and-bound prunes with.
 func CombineBounds(contribs []float64, users int, cfg Config) float64 {
 	if cfg.Semantics == semantics.LM {
 		best := math.Inf(-1)
@@ -436,43 +273,34 @@ func CombineBounds(contribs []float64, users int, cfg Config) float64 {
 }
 
 // LocalOracle answers the ScoreOracle questions straight from an
-// in-process Dataset with the serial reference scorer — the oracle
-// the distributed gather path is pinned against in tests, and the
-// degenerate one-process topology.
+// in-process Dataset with the serial scorer — run()'s own local
+// oracle, polling ctx once per probe and answering in fresh slices.
+// It is the oracle the distributed gather path is pinned against in
+// tests, and the degenerate one-process topology. A member or item
+// absent from DS is an ErrBadConfig error.
 type LocalOracle struct {
 	DS  *dataset.Dataset
 	Cfg Config
 }
 
-func (o LocalOracle) scorer() semantics.Scorer {
+func (o LocalOracle) local() *localOracle {
 	sc := o.Cfg.scorer(o.DS)
 	sc.Workers = 1
-	return sc
+	return &localOracle{sc: sc}
 }
 
-// GroupScores mirrors pieceScores: one ItemScore probe per listed
-// item over the given members.
+// GroupScores is the group score of each listed item over members.
 func (o LocalOracle) GroupScores(ctx context.Context, sem semantics.Semantics, members []dataset.UserID, items []dataset.ItemID) ([]float64, error) {
 	if err := gferr.Ctx(ctx); err != nil {
 		return nil, err
 	}
-	sc := o.scorer()
-	out := make([]float64, len(items))
-	for j, it := range items {
-		// One full member scan per item; keep the probe cancelable.
-		if err := gferr.Ctx(ctx); err != nil {
-			return nil, err
-		}
-		out[j] = sc.ItemScore(sem, members, it)
-	}
-	return out, nil
+	return o.local().GroupScores(ctx, sem, members, items)
 }
 
-// GroupTopK mirrors the full top-k computation of finalizeBucket and
-// the merged remainder.
+// GroupTopK is the full top-k computation over members.
 func (o LocalOracle) GroupTopK(ctx context.Context, sem semantics.Semantics, members []dataset.UserID, k int) ([]dataset.ItemID, []float64, error) {
 	if err := gferr.Ctx(ctx); err != nil {
 		return nil, nil, err
 	}
-	return o.scorer().TopK(sem, members, k)
+	return o.local().GroupTopK(ctx, sem, members, k)
 }

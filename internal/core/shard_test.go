@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"groupform/internal/dataset"
+	"groupform/internal/gferr"
 	"groupform/internal/rank"
 	"groupform/internal/semantics"
 	"groupform/internal/synth"
@@ -71,7 +74,7 @@ func TestShardedFormParity(t *testing.T) {
 
 // TestShardedFormParitySplitBranch pins the other finalization
 // branch: a clustered dataset with few buckets and a large L drives
-// splitBuckets (surplus pieces, par.Ranges cuts, the refold rule),
+// the split plan (surplus pieces, par.Range cuts, the refold rule),
 // which must survive the oracle indirection byte-for-byte as well.
 func TestShardedFormParitySplitBranch(t *testing.T) {
 	ds, err := synth.Generate(synth.Config{Users: 90, Items: 30, Clusters: 3, Seed: 41})
@@ -292,6 +295,150 @@ func TestCombineBoundsMatchesAnytimeBound(t *testing.T) {
 			}
 			if got := CombineBounds(contribs, users, cfg); got != want {
 				t.Fatalf("%s shards=%d: combined bound %v != %v", sem, s, got, want)
+			}
+		}
+	}
+}
+
+// TestFinalizeMergedRejectsBadInput: every malformed call is refused
+// up front with an ErrBadConfig-wrapping error and no Result.
+func TestFinalizeMergedRejectsBadInput(t *testing.T) {
+	ds, err := synth.Generate(synth.Config{Users: 90, Items: 30, Clusters: 3, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{K: 4, L: 8, Semantics: semantics.LM, Aggregation: semantics.Min}
+	pass, err := BucketizeShard(context.Background(), ds, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := pass.Buckets
+	o := LocalOracle{DS: ds, Cfg: cfg}
+	withBucket := func(edit func(*ShardBucket)) []ShardBucket {
+		bs := slices.Clone(good)
+		edit(&bs[0])
+		return bs
+	}
+	withCfg := func(edit func(*Config)) Config {
+		c := cfg
+		edit(&c)
+		return c
+	}
+	cases := []struct {
+		name   string
+		cfg    Config
+		merged []ShardBucket
+		o      ScoreOracle
+	}{
+		{"empty merged list", cfg, nil, o},
+		{"nil oracle", cfg, good, nil},
+		{"bucket without members", cfg, withBucket(func(b *ShardBucket) { b.Members = nil }), o},
+		{"items/scores length mismatch", cfg, withBucket(func(b *ShardBucket) { b.Scores = b.Scores[:1] }), o},
+		{"K <= 0", withCfg(func(c *Config) { c.K = 0 }), good, o},
+		{"L <= 0", withCfg(func(c *Config) { c.L = -1 }), good, o},
+		{"invalid semantics", withCfg(func(c *Config) { c.Semantics = 7 }), good, o},
+	}
+	for _, c := range cases {
+		res, err := FinalizeMerged(context.Background(), c.cfg, c.merged, c.o)
+		if res != nil || !errors.Is(err, gferr.ErrBadConfig) {
+			t.Errorf("%s: got (%v, %v), want a nil Result and ErrBadConfig", c.name, res, err)
+		}
+	}
+}
+
+// TestLocalOracleRejectsAbsentIDs: a probe naming a user or item the
+// dataset does not hold is a configuration error, never a score
+// computed for some other index.
+func TestLocalOracleRejectsAbsentIDs(t *testing.T) {
+	ds, err := synth.Generate(synth.Config{Users: 20, Items: 10, Clusters: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := LocalOracle{DS: ds, Cfg: Config{K: 2, L: 2, Semantics: semantics.LM, Aggregation: semantics.Min}}
+	u, it := ds.Users()[0], ds.Items()[0]
+	probes := map[string]struct {
+		members []dataset.UserID
+		items   []dataset.ItemID
+	}{
+		"absent member": {[]dataset.UserID{u, 1 << 30}, []dataset.ItemID{it}},
+		"absent item":   {[]dataset.UserID{u}, []dataset.ItemID{it, 1 << 30}},
+	}
+	for name, p := range probes {
+		for _, sem := range []semantics.Semantics{semantics.LM, semantics.AV} {
+			if _, err := o.GroupScores(context.Background(), sem, p.members, p.items); !errors.Is(err, gferr.ErrBadConfig) {
+				t.Errorf("%s/%s: err = %v, want ErrBadConfig", name, sem, err)
+			}
+		}
+	}
+}
+
+// tripCtx is live for its first `remaining` Err polls and canceled
+// from then on, so sweeping remaining from 0 to exhaustion cuts a
+// serial call at every cancellation touchpoint it passes.
+type tripCtx struct {
+	context.Context
+	remaining int
+}
+
+func (c *tripCtx) Err() error {
+	if c.remaining == 0 {
+		return context.Canceled
+	}
+	c.remaining--
+	return nil
+}
+
+// TestFinalizeMergedCancellationSweep cuts FinalizeMerged at every
+// cancellation poll on both finalization branches, under LM and AV:
+// every cut returns a nil Result and an ErrCanceled error, so the
+// router never receives a degraded prefix, and a context that outlives
+// every poll reproduces the uncut result byte for byte.
+func TestFinalizeMergedCancellationSweep(t *testing.T) {
+	ds, err := synth.Generate(synth.Config{Users: 90, Items: 30, Clusters: 3, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxCalls = 1 << 20
+	for _, sem := range []semantics.Semantics{semantics.LM, semantics.AV} {
+		for _, agg := range []semantics.Aggregation{semantics.Min, semantics.Max} {
+			for _, l := range []int{2, 40} {
+				cfg := Config{K: 4, L: l, Semantics: sem, Aggregation: agg}
+				label := fmt.Sprintf("%s-%s/L=%d", sem, agg, l)
+				passes := make([][]ShardBucket, 3)
+				for s := range passes {
+					sds, err := ds.ShardUsers(s, len(passes))
+					if err != nil {
+						t.Fatal(err)
+					}
+					pass, err := BucketizeShard(context.Background(), sds, cfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					passes[s] = pass.Buckets
+				}
+				merged := MergeShardBuckets(passes, cfg)
+				if split := len(merged) <= l; split != (l == 40) {
+					t.Fatalf("%s: %d buckets do not select the intended branch", label, len(merged))
+				}
+				o := LocalOracle{DS: ds, Cfg: cfg}
+				probe := &tripCtx{Context: context.Background(), remaining: maxCalls}
+				want, err := FinalizeMerged(probe, cfg, merged, o)
+				if err != nil {
+					t.Fatalf("%s: uncut run: %v", label, err)
+				}
+				calls := maxCalls - probe.remaining
+				for n := 0; n <= calls; n++ {
+					res, err := FinalizeMerged(&tripCtx{Context: context.Background(), remaining: n}, cfg, merged, o)
+					if n == calls {
+						if err != nil || !reflect.DeepEqual(res, want) {
+							t.Fatalf("%s: exhausted context (%d polls) gave (%+v, %v), want the uncut result", label, n, res, err)
+						}
+						continue
+					}
+					if res != nil || !errors.Is(err, gferr.ErrCanceled) {
+						t.Fatalf("%s: cut at poll %d of %d gave (%+v, %v), want a nil Result and ErrCanceled", label, n, calls, res, err)
+					}
+				}
 			}
 		}
 	}

@@ -76,17 +76,23 @@ func Ranges(n, workers int) [][2]int {
 	if n <= 0 {
 		return nil
 	}
-	rs := make([][2]int, 0, workers)
-	start := 0
-	for s := 0; s < workers; s++ {
-		size := n / workers
-		if s < n%workers {
-			size++
-		}
-		rs = append(rs, [2]int{start, start + size})
-		start += size
+	rs := make([][2]int, workers)
+	for i := range rs {
+		rs[i][0], rs[i][1] = Range(n, workers, i)
 	}
 	return rs
+}
+
+// Range returns Ranges(n, parts)[i] without allocating. It requires
+// 1 <= parts <= n and 0 <= i < parts.
+func Range(n, parts, i int) (lo, hi int) {
+	size, extra := n/parts, n%parts
+	lo = i*size + min(i, extra)
+	hi = lo + size
+	if i < extra {
+		hi++
+	}
+	return lo, hi
 }
 
 // Chunks splits n items into fixed-size [lo, hi) chunks of at most

@@ -108,8 +108,8 @@ func (o *gatherOracle) fanScores(ctx context.Context, members []dataset.UserID, 
 	return out, nil
 }
 
-// GroupScores mirrors LocalOracle.GroupScores (the pieceScores
-// probe): the group score of each listed item, positionally aligned.
+// GroupScores mirrors LocalOracle.GroupScores: the group score of
+// each listed item, positionally aligned.
 func (o *gatherOracle) GroupScores(ctx context.Context, sem semantics.Semantics, members []dataset.UserID, items []dataset.ItemID) ([]float64, error) {
 	resps, err := o.fanScores(ctx, members, items)
 	if err != nil {
@@ -163,8 +163,8 @@ func lessScored(a, b scoredItem) bool {
 }
 
 // GroupTopK mirrors Scorer.TopK over the wire: accumulate per-item
-// stats for everything the members rated, score with the dense
-// formulas, select the best k, pad from the catalog.
+// stats for everything the members rated, score them through
+// itemScore, select the best k, pad from the catalog.
 func (o *gatherOracle) GroupTopK(ctx context.Context, sem semantics.Semantics, members []dataset.UserID, k int) ([]dataset.ItemID, []float64, error) {
 	resps, err := o.fanScores(ctx, members, nil)
 	if err != nil {
@@ -184,17 +184,7 @@ func (o *gatherOracle) GroupTopK(ctx context.Context, sem semantics.Semantics, m
 	totalW := float64(len(members))
 	all := make([]scoredItem, 0, len(merged))
 	for it, m := range merged {
-		var score float64
-		switch sem {
-		case semantics.LM:
-			score = m.min
-			if m.count < len(members) && o.missing < score {
-				score = o.missing
-			}
-		case semantics.AV:
-			score = m.wsum + (totalW-m.wraters)*o.missing
-		}
-		all = append(all, scoredItem{item: it, score: score})
+		all = append(all, scoredItem{item: it, score: o.itemScore(sem, *m, len(members), totalW)})
 	}
 	n := selection.TopK(all, k, lessScored)
 	items := make([]dataset.ItemID, 0, k)

@@ -135,7 +135,7 @@ func TestRouterParity(t *testing.T) {
 		`{"dataset":"ds","k":4,"l":6,"semantics":"av","agg":"sum"}`,
 		`{"dataset":"ds","k":4,"l":6,"semantics":"av","agg":"max"}`,
 		`{"dataset":"ds","k":3,"l":2,"semantics":"lm","agg":"min"}`,
-		// L large: drives the splitBuckets branch with refolds and
+		// L large: drives the split branch with refolds and
 		// per-piece oracle probes.
 		`{"dataset":"ds","k":4,"l":60,"semantics":"lm","agg":"sum"}`,
 		`{"dataset":"ds","k":4,"l":60,"semantics":"av","agg":"sum"}`,
