@@ -1,9 +1,8 @@
 // Command gfvet runs the project's static-analysis suite: the custom
 // analyzers of internal/analysis that mechanically enforce the
 // engine's correctness contracts (sentinel-wrapped errors, paired
-// scratch leases, cancellation cadence in hot loops, the zero-alloc
-// roster, the deprecated-facade ban). It is the multichecker CI runs
-// alongside go vet:
+// scratch leases, cancellation cadence in hot loops and the
+// zero-alloc roster). It is the multichecker CI runs alongside go vet:
 //
 //	go run ./cmd/gfvet ./...
 //

@@ -50,24 +50,22 @@
 // likewise fans local-search restarts out. See docs/ARCHITECTURE.md
 // for the sharding strategy and determinism argument.
 //
-// Beyond the greedy algorithms the package exposes the paper's
-// clustering baselines (FormBaseline), optimal reference solvers
-// (FormExact for small instances, FormLocalSearch as a scalable
-// proxy, SolveIP for the Appendix-A integer programs at k=1),
+// Beyond the greedy algorithms the registry serves the paper's
+// clustering baselines ("baseline-kendall", "baseline-kmeans",
+// "baseline-clara") and optimal reference solvers ("exact" and "bb"
+// for small instances, "ls" as a scalable proxy, "ip" for the
+// Appendix-A integer programs at k=1). The package also exposes
 // collaborative-filtering predictors to densify sparse ratings, and
 // synthetic dataset generators mirroring the paper's evaluation data.
 package groupform
 
 import (
-	"context"
 	"io"
 
-	"groupform/internal/baseline"
 	"groupform/internal/cf"
 	"groupform/internal/core"
 	"groupform/internal/dataset"
 	"groupform/internal/eval"
-	"groupform/internal/gferr"
 	"groupform/internal/ilp"
 	"groupform/internal/opt"
 	"groupform/internal/semantics"
@@ -112,11 +110,6 @@ type (
 	// Result is a formation outcome: groups plus objective.
 	Result = core.Result
 
-	// BaselineConfig parameterizes the clustering baselines.
-	BaselineConfig = baseline.Config
-	// BaselineMethod selects the clustering backend.
-	BaselineMethod = baseline.Method
-
 	// LSOptions tunes the local-search optimizer.
 	LSOptions = opt.LSOptions
 	// BBOptions bounds the branch-and-bound optimizer.
@@ -153,16 +146,6 @@ const (
 	WeightedSumPos = semantics.WeightedSumPos
 	// WeightedSumLog discounts positions by 1/log2(pos+2).
 	WeightedSumLog = semantics.WeightedSumLog
-
-	// KendallMedoids clusters with k-medoids over Kendall-Tau
-	// ranking distance (the paper's literal baseline).
-	KendallMedoids = baseline.KendallMedoids
-	// VectorKMeans clusters rating vectors with Lloyd's algorithm
-	// (the scalable baseline).
-	VectorKMeans = baseline.VectorKMeans
-	// ClaraMedoids is sampled Kendall-Tau k-medoids (CLARA), the
-	// middle ground between the two.
-	ClaraMedoids = baseline.ClaraMedoids
 )
 
 // DefaultScale is the 1-5 rating scale of the paper's datasets.
@@ -205,93 +188,9 @@ func WriteCSV(w io.Writer, ds *Dataset) error { return dataset.WriteCSV(w, ds) }
 // sizes.
 func WriteBinary(w io.Writer, ds *Dataset) error { return dataset.WriteBinary(w, ds) }
 
-// ReadBinary loads a dataset written by WriteBinary (current or
-// legacy version; malformed input errors wrap ErrBadConfig).
+// ReadBinary loads a dataset written by WriteBinary (malformed input
+// errors wrap ErrBadConfig).
 func ReadBinary(r io.Reader) (*Dataset, error) { return dataset.ReadBinary(r) }
-
-// legacySolve routes a deprecated wrapper through the registry with a
-// background context, preserving the historical no-cancellation
-// behavior.
-func legacySolve(name string, ds *Dataset, cfg Config, opts ...SolverOption) (*Result, error) {
-	s, err := NewSolver(name, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Solve(context.Background(), ds, cfg)
-}
-
-// Form runs the paper's greedy group-formation algorithm selected by
-// cfg (GRD-LM-* / GRD-AV-*). O(nk + l log n).
-//
-// Deprecated: Use NewSolver("grd") for one-shot solves with
-// cancellation, or an Engine to amortize preprocessing across calls.
-func Form(ds *Dataset, cfg Config) (*Result, error) {
-	return legacySolve("grd", ds, cfg)
-}
-
-// FormBaseline runs the clustering baseline (Baseline-LM/AV).
-//
-// Deprecated: Use NewSolver("baseline-kendall"), "baseline-kmeans" or
-// "baseline-clara" with WithSeed / WithMaxIter / WithPlusPlus.
-func FormBaseline(ds *Dataset, cfg BaselineConfig) (*Result, error) {
-	var name string
-	switch cfg.Method {
-	case KendallMedoids:
-		name = "baseline-kendall"
-	case VectorKMeans:
-		name = "baseline-kmeans"
-	case ClaraMedoids:
-		name = "baseline-clara"
-	default:
-		return nil, gferr.BadConfigf("baseline: Method %d is unknown", int(cfg.Method))
-	}
-	return legacySolve(name, ds, cfg.Config,
-		WithSeed(cfg.Seed), WithMaxIter(cfg.MaxIter), WithPlusPlus(cfg.PlusPlus))
-}
-
-// FormExact computes the optimal grouping by dynamic programming over
-// subsets; limited to small instances (<= opt.MaxExactUsers users).
-//
-// Deprecated: Use NewSolver("exact").
-func FormExact(ds *Dataset, cfg Config) (*Result, error) {
-	return legacySolve("exact", ds, cfg)
-}
-
-// FormLocalSearch improves the greedy solution by hill climbing or
-// annealing; the scalable stand-in for the paper's CPLEX reference.
-//
-// Deprecated: Use NewSolver("ls", WithLSOptions(opts)).
-func FormLocalSearch(ds *Dataset, cfg Config, opts LSOptions) (*Result, error) {
-	return legacySolve("ls", ds, cfg, WithLSOptions(opts))
-}
-
-// FormBranchAndBound computes an optimal grouping by pruned partition
-// enumeration; exact like FormExact but reaches larger instances on
-// structured data (and degrades gracefully via BBOptions.MaxNodes).
-//
-// Deprecated: Use NewSolver("bb", WithBBOptions(opts)).
-func FormBranchAndBound(ds *Dataset, cfg Config, opts BBOptions) (*Result, error) {
-	return legacySolve("bb", ds, cfg, WithBBOptions(opts))
-}
-
-// SolveIP solves the paper's Appendix-A integer program (k = 1) with
-// the built-in simplex + branch-and-bound solver, returning the
-// optimal partition and objective.
-//
-// Deprecated: Use NewSolver("ip", WithIPOptions(opts)), which returns
-// the partition as a *Result like every other solver.
-func SolveIP(ds *Dataset, l int, sem Semantics, opts IPOptions) ([][]UserID, float64, error) {
-	res, err := legacySolve("ip", ds, Config{K: 1, L: l, Semantics: sem, Aggregation: Min},
-		WithIPOptions(opts))
-	if err != nil {
-		return nil, 0, err
-	}
-	groups := make([][]UserID, len(res.Groups))
-	for i, g := range res.Groups {
-		groups[i] = g.Members
-	}
-	return groups, res.Objective, nil
-}
 
 // NewUserKNN trains a user-based kNN rating predictor.
 func NewUserKNN(ds *Dataset, k int) (Predictor, error) { return cf.NewUserKNN(ds, k) }

@@ -9,7 +9,8 @@ import (
 
 // TestFacadeEndToEnd drives the whole public API surface the way a
 // downstream user would: build a dataset, form groups with GRD, the
-// baseline, the exact solver and the IP, compare, and evaluate.
+// baseline, the exact solver and the IP through the registry, compare,
+// and evaluate.
 func TestFacadeEndToEnd(t *testing.T) {
 	// Example 1 from the paper.
 	ds, err := FromDense(DefaultScale, [][]float64{
@@ -20,7 +21,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	cfg := Config{K: 1, L: 3, Semantics: LM, Aggregation: Min}
 
-	grd, err := Form(ds, cfg)
+	grd, err := solveOnce("grd", ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("GRD objective = %v, want 11", grd.Objective)
 	}
 
-	ex, err := FormExact(ds, cfg)
+	ex, err := solveOnce("exact", ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("exact objective = %v, want 12", ex.Objective)
 	}
 
-	ls, err := FormLocalSearch(ds, cfg, LSOptions{Iterations: 2000, Restarts: 2, Seed: 1, Anneal: true})
+	ls, err := solveOnce("ls", ds, cfg, WithLSOptions(LSOptions{Iterations: 2000, Restarts: 2, Seed: 1, Anneal: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +45,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("local search objective %v outside [%v,%v]", ls.Objective, grd.Objective, ex.Objective)
 	}
 
-	groups, ipObj, err := SolveIP(ds, 3, LM, IPOptions{})
+	ip, err := solveOnce("ip", ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ipObj != 12 || len(groups) != 3 {
-		t.Errorf("IP = %v with %d groups, want 12 with 3", ipObj, len(groups))
+	if ip.Objective != 12 || len(ip.Groups) != 3 {
+		t.Errorf("IP = %v with %d groups, want 12 with 3", ip.Objective, len(ip.Groups))
 	}
 
-	base, err := FormBaseline(ds, BaselineConfig{Config: cfg, Method: KendallMedoids, Seed: 1})
+	base, err := solveOnce("baseline-kendall", ds, cfg, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestFacadeSynthAndCF(t *testing.T) {
 	if full.NumRatings() != full.NumUsers()*full.NumItems() {
 		t.Fatal("densify did not complete the matrix")
 	}
-	res, err := Form(full, Config{K: 5, L: 4, Semantics: AV, Aggregation: Sum})
+	res, err := solveOnce("grd", full, Config{K: 5, L: 4, Semantics: AV, Aggregation: Sum})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestWeightedAggregationThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, agg := range []Aggregation{WeightedSumPos, WeightedSumLog} {
-		res, err := Form(ds, Config{K: 2, L: 2, Semantics: LM, Aggregation: agg})
+		res, err := solveOnce("grd", ds, Config{K: 2, L: 2, Semantics: LM, Aggregation: agg})
 		if err != nil {
 			t.Fatalf("%v: %v", agg, err)
 		}
@@ -168,14 +169,14 @@ func TestParallelFormThroughFacade(t *testing.T) {
 	}
 	for _, sem := range []Semantics{LM, AV} {
 		cfg := Config{K: 5, L: 10, Semantics: sem, Aggregation: Min}
-		serial, err := Form(ds, cfg)
+		serial, err := solveOnce("grd", ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{1, 2, 8, -1} {
 			c := cfg
 			c.Workers = w
-			got, err := Form(ds, c)
+			got, err := solveOnce("grd", ds, c)
 			if err != nil {
 				t.Fatal(err)
 			}

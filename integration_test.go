@@ -71,7 +71,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	for _, sem := range []Semantics{LM, AV} {
 		for _, agg := range []Aggregation{Max, Min, Sum} {
 			cfg := Config{K: 5, L: 8, Semantics: sem, Aggregation: agg}
-			res, err := Form(full, cfg)
+			res, err := solveOnce("grd", full, cfg)
 			if err != nil {
 				t.Fatalf("%v-%v: %v", sem, agg, err)
 			}
@@ -124,15 +124,15 @@ func TestPipelineComparesAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{K: 4, L: 8, Semantics: LM, Aggregation: Min}
-	grd, err := Form(ds, cfg)
+	grd, err := solveOnce("grd", ds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := FormLocalSearch(ds, cfg, LSOptions{Iterations: 3000, Anneal: true, Seed: 1})
+	ls, err := solveOnce("ls", ds, cfg, WithLSOptions(LSOptions{Iterations: 3000, Anneal: true, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := FormBaseline(ds, BaselineConfig{Config: cfg, Method: VectorKMeans, Seed: 1})
+	base, err := solveOnce("baseline-kmeans", ds, cfg, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestWeightedFormationThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Form(ds, Config{
+	res, err := solveOnce("grd", ds, Config{
 		K: 1, L: 1, Semantics: AV, Aggregation: Min,
 		UserWeights: map[UserID]float64{0: 10},
 	})

@@ -3,8 +3,8 @@
 // shape (Analyzer, Pass, Diagnostic) plus a module-aware package
 // loader, built so the correctness contracts the runtime tests pin
 // one-at-a-time — sentinel-wrapped errors, paired scratch leases,
-// cancellation cadence, the zero-alloc roster, the deprecated-facade
-// ban — are machine-checked on every build via cmd/gfvet.
+// cancellation cadence and the zero-alloc roster — are
+// machine-checked on every build via cmd/gfvet.
 //
 // The x/tools dependency is deliberately absent: the module is
 // dependency-free and must stay buildable offline, so the framework
@@ -49,6 +49,14 @@ type Analyzer struct {
 	// pass.Report/Reportf. It is called once per loaded package;
 	// rules that only apply to some packages gate on pass.Path.
 	Run func(pass *Pass) error
+}
+
+// Analyzers is the full gfvet suite in reporting order.
+var Analyzers = []*Analyzer{
+	SentinelWrap,
+	LeaseRelease,
+	CtxCadence,
+	HotPathAlloc,
 }
 
 // A Pass carries one package through one analyzer.

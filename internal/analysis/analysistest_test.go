@@ -125,7 +125,3 @@ func TestCtxCadence(t *testing.T) {
 func TestHotPathAlloc(t *testing.T) {
 	testAnalyzer(t, HotPathAlloc, "testdata/src/hotpathalloc", "groupform/testfixtures/internal/hottest")
 }
-
-func TestNoDeprecated(t *testing.T) {
-	testAnalyzer(t, NoDeprecated, "testdata/src/nodeprecated", "groupform/testfixtures/nodep")
-}

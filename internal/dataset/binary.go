@@ -27,9 +27,6 @@ import (
 //	colIdx [r]u32   (item indices, ascending within each row)
 //	vals   [r]f64
 //
-// Version 1 (per-user records of ID-space entries) is still read
-// through a fallback path; WriteBinary always emits version 2.
-//
 // Malformed input — a truncated or corrupt header, out-of-order
 // tables, inconsistent counts, out-of-scale values — is classified
 // under gferr.ErrBadConfig: the file handed to the loader is not a
@@ -37,10 +34,7 @@ import (
 
 var binaryMagic = [4]byte{'G', 'F', 'D', 'S'}
 
-const (
-	binaryVersionLegacy uint16 = 1
-	binaryVersion       uint16 = 2
-)
+const binaryVersion uint16 = 2
 
 // badFilef classifies a malformed binary input under ErrBadConfig.
 func badFilef(format string, args ...any) error {
@@ -179,11 +173,11 @@ func WriteBinary(w io.Writer, ds *Dataset) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a dataset written by WriteBinary. Version-2
-// files load with bulk array reads straight into the CSR storage;
-// version-1 files go through the legacy per-entry fallback. Either
-// way every structural invariant and rating value is revalidated, and
-// malformed input fails with an error wrapping gferr.ErrBadConfig.
+// ReadBinary deserializes a dataset written by WriteBinary, loading
+// with bulk array reads straight into the CSR storage. Every
+// structural invariant and rating value is revalidated; malformed
+// input, including any version other than 2, fails with an error
+// wrapping gferr.ErrBadConfig.
 func ReadBinary(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
@@ -197,14 +191,10 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	if _, err := io.ReadFull(br, vbuf[:]); err != nil {
 		return nil, badFilef("version: %v", err)
 	}
-	version := binary.LittleEndian.Uint16(vbuf[:])
-	switch version {
-	case binaryVersion:
-		return readBinaryV2(br)
-	case binaryVersionLegacy:
-		return readBinaryV1(br)
+	if version := binary.LittleEndian.Uint16(vbuf[:]); version != binaryVersion {
+		return nil, badFilef("unsupported version %d", version)
 	}
-	return nil, badFilef("unsupported version %d", version)
+	return readBinaryV2(br)
 }
 
 func readScale(br *bufio.Reader) (Scale, error) {
@@ -301,99 +291,4 @@ func readBinaryV2(br *bufio.Reader) (*Dataset, error) {
 		}
 	}
 	return newCSR(scale, users, items, rowPtr, colIdx, vals, 0), nil
-}
-
-// readBinaryV1 is the legacy-format fallback: per-user records of
-// ID-space (item, value) entries. It parses into per-user rows and
-// rebuilds through the same index-space constructor as every other
-// loader.
-func readBinaryV1(br *bufio.Reader) (*Dataset, error) {
-	scale, err := readScale(br)
-	if err != nil {
-		return nil, err
-	}
-	var cnt [4]byte
-	if _, err := io.ReadFull(br, cnt[:]); err != nil {
-		return nil, badFilef("user count: %v", err)
-	}
-	userCount := binary.LittleEndian.Uint32(cnt[:])
-	users := make([]UserID, 0, preallocCap(int(userCount)))
-	rows := make([][]Entry, 0, preallocCap(int(userCount)))
-	scratch := make([]byte, 12)
-	var prevUser int64 = -1
-	for u := uint32(0); u < userCount; u++ {
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return nil, badFilef("user %d header: %v", u, err)
-		}
-		uid := binary.LittleEndian.Uint32(scratch[:4])
-		entryCount := binary.LittleEndian.Uint32(scratch[4:8])
-		if int64(uid) <= prevUser {
-			return nil, badFilef("users out of order at %d", uid)
-		}
-		prevUser = int64(uid)
-		entries := make([]Entry, 0, preallocCap(int(entryCount)))
-		var prevItem int64 = -1
-		for e := uint32(0); e < entryCount; e++ {
-			if _, err := io.ReadFull(br, scratch[:12]); err != nil {
-				return nil, badFilef("user %d entry %d: %v", uid, e, err)
-			}
-			item := ItemID(binary.LittleEndian.Uint32(scratch[:4]))
-			value := math.Float64frombits(binary.LittleEndian.Uint64(scratch[4:12]))
-			if int64(item) <= prevItem {
-				return nil, badFilef("user %d items out of order", uid)
-			}
-			prevItem = int64(item)
-			if !scale.Valid(value) {
-				return nil, badFilef("rating %v outside scale for user %d item %d", value, uid, item)
-			}
-			entries = append(entries, Entry{Item: item, Value: value})
-		}
-		users = append(users, UserID(uid))
-		rows = append(rows, entries)
-	}
-	return buildFromRows(scale, users, rows, 0), nil
-}
-
-// writeBinaryV1 emits the legacy version-1 layout. It exists so the
-// fallback reader stays covered by round-trip tests; production
-// writes always use the current version.
-func writeBinaryV1(w io.Writer, ds *Dataset) error {
-	ds = ds.Compact()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	scratch := make([]byte, 12)
-	binary.LittleEndian.PutUint16(scratch[:2], binaryVersionLegacy)
-	if _, err := bw.Write(scratch[:2]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(ds.scale.Min))
-	if _, err := bw.Write(scratch[:8]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(ds.scale.Max))
-	if _, err := bw.Write(scratch[:8]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(ds.users)))
-	if _, err := bw.Write(scratch[:4]); err != nil {
-		return err
-	}
-	for r, u := range ds.users {
-		entries := ds.RowEntries(UserIdx(r))
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(u))
-		binary.LittleEndian.PutUint32(scratch[4:8], uint32(len(entries)))
-		if _, err := bw.Write(scratch[:8]); err != nil {
-			return err
-		}
-		for _, e := range entries {
-			binary.LittleEndian.PutUint32(scratch[:4], uint32(e.Item))
-			binary.LittleEndian.PutUint64(scratch[4:12], math.Float64bits(e.Value))
-			if _, err := bw.Write(scratch[:12]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
 }

@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -72,33 +74,64 @@ func TestBinaryV2RoundTripCSR(t *testing.T) {
 	requireSameDataset(t, back, orig)
 }
 
-// TestBinaryLegacyV1Fallback writes the legacy version-1 layout and
-// reads it through ReadBinary's fallback path.
+// legacyV1File hand-encodes a valid file in the retired version-1
+// layout: magic, u16 version 1, scale as two f64, u32 user count,
+// then per user a u32 id, a u32 entry count and (u32 item, f64 value)
+// entries.
+func legacyV1File() []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint16([]byte("GFDS"), 1)
+	b = le.AppendUint64(b, math.Float64bits(DefaultScale.Min))
+	b = le.AppendUint64(b, math.Float64bits(DefaultScale.Max))
+	users := []struct {
+		id      uint32
+		entries []Entry
+	}{
+		{1, []Entry{{Item: 2, Value: 4.5}, {Item: 7, Value: 3}}},
+		{3, []Entry{{Item: 2, Value: 1}}},
+	}
+	b = le.AppendUint32(b, uint32(len(users)))
+	for _, u := range users {
+		b = le.AppendUint32(b, u.id)
+		b = le.AppendUint32(b, uint32(len(u.entries)))
+		for _, e := range u.entries {
+			b = le.AppendUint32(b, uint32(e.Item))
+			b = le.AppendUint64(b, math.Float64bits(e.Value))
+		}
+	}
+	return b
+}
+
+// TestBinaryLegacyV1Fallback pins the fallback's removal: a valid
+// version-1 file is rejected by ReadBinary and by the sniffing Load
+// with an ErrBadConfig naming the version.
 func TestBinaryLegacyV1Fallback(t *testing.T) {
-	orig := randomDataset(t, 43)
-	var buf bytes.Buffer
-	if err := writeBinaryV1(&buf, orig); err != nil {
-		t.Fatal(err)
+	v1 := legacyV1File()
+	load := map[string]func() (*Dataset, error){
+		"ReadBinary": func() (*Dataset, error) { return ReadBinary(bytes.NewReader(v1)) },
+		"Load":       func() (*Dataset, error) { return Load(bytes.NewReader(v1), DefaultScale) },
 	}
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
+	for name, fn := range load {
+		ds, err := fn()
+		if err == nil {
+			t.Fatalf("%s accepted a version-1 file: %s", name, ds.Describe())
+		}
+		if !errors.Is(err, gferr.ErrBadConfig) || !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("%s: error %v should wrap gferr.ErrBadConfig and name version 1", name, err)
+		}
 	}
-	requireSameDataset(t, back, orig)
 }
 
 // TestBinaryErrorsWrapBadConfig pins the error classification:
-// truncated or corrupt input of either version fails with an error
-// wrapping gferr.ErrBadConfig.
+// truncated or corrupt input, in the current or the retired version-1
+// layout, fails with an error wrapping gferr.ErrBadConfig.
 func TestBinaryErrorsWrapBadConfig(t *testing.T) {
 	ds := randomDataset(t, 44)
-	var v2, v1 bytes.Buffer
+	var v2 bytes.Buffer
 	if err := WriteBinary(&v2, ds); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeBinaryV1(&v1, ds); err != nil {
-		t.Fatal(err)
-	}
+	v1 := legacyV1File()
 	cases := []struct {
 		name string
 		data []byte
@@ -111,8 +144,8 @@ func TestBinaryErrorsWrapBadConfig(t *testing.T) {
 		{"v2 truncated counts", v2.Bytes()[:24]},
 		{"v2 truncated user table", v2.Bytes()[:40]},
 		{"v2 truncated values", v2.Bytes()[:v2.Len()-3]},
-		{"v1 truncated header", v1.Bytes()[:10]},
-		{"v1 truncated body", v1.Bytes()[:v1.Len()-3]},
+		{"v1 truncated header", v1[:10]},
+		{"v1 truncated body", v1[:len(v1)-3]},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -88,19 +90,39 @@ func FuzzFormRequest(f *testing.F) {
 // no panic, and a 2xx must leave a servable engine in the registry.
 func FuzzDatasetUpload(f *testing.F) {
 	ds := tinyDS(f)
-	var binary bytes.Buffer
-	if err := dataset.WriteBinary(&binary, ds); err != nil {
+	var bin bytes.Buffer
+	if err := dataset.WriteBinary(&bin, ds); err != nil {
 		f.Fatal(err)
 	}
 	f.Add([]byte("user,item,rating\n1,1,5\n1,2,3\n2,1,4\n"))
 	f.Add([]byte("1,1,5\n2,2,2\n"))
-	f.Add(binary.Bytes())
-	for _, cut := range []int{1, 4, 8, 16, binary.Len() / 2, binary.Len() - 1} {
-		if cut < binary.Len() {
-			f.Add(binary.Bytes()[:cut])
+	f.Add(bin.Bytes())
+	for _, cut := range []int{1, 4, 8, 16, bin.Len() / 2, bin.Len() - 1} {
+		if cut < bin.Len() {
+			f.Add(bin.Bytes()[:cut])
 		}
 	}
 	f.Add([]byte("GFDS")) // magic only
+	// A valid file in the retired version-1 layout (magic, u16
+	// version 1, scale, u32 user count, then per user a u32 id, a u32
+	// entry count and (u32 item, f64 value) entries) seeds the
+	// version rejection.
+	le := binary.LittleEndian
+	v1 := le.AppendUint16([]byte("GFDS"), 1)
+	v1 = le.AppendUint64(v1, math.Float64bits(1))
+	v1 = le.AppendUint64(v1, math.Float64bits(5))
+	v1 = le.AppendUint32(v1, 2) // users
+	v1 = le.AppendUint32(v1, 1) // user 1: items 2 and 7
+	v1 = le.AppendUint32(v1, 2)
+	v1 = le.AppendUint32(v1, 2)
+	v1 = le.AppendUint64(v1, math.Float64bits(4.5))
+	v1 = le.AppendUint32(v1, 7)
+	v1 = le.AppendUint64(v1, math.Float64bits(3))
+	v1 = le.AppendUint32(v1, 3) // user 3: item 2
+	v1 = le.AppendUint32(v1, 1)
+	v1 = le.AppendUint32(v1, 2)
+	v1 = le.AppendUint64(v1, math.Float64bits(1))
+	f.Add(v1)
 	f.Add([]byte(""))
 	f.Add([]byte("user,item,rating\n1,1,99\n"))  // rating off scale
 	f.Add(bytes.Repeat([]byte("1,1,5\n"), 3000)) // larger than the cap below

@@ -327,50 +327,16 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.reg.Infos())
 }
 
-// handleForm serves POST /form: the hot path. Decode, resolve,
-// solve on a pooled scratch, encode straight out of the scratch's
-// arenas (zero-copy), release.
+// handleForm serves POST /form: the hot path. It claims the
+// admission slot and hands the request to serveForm, which decodes
+// either encoding, solves on a pooled scratch and encodes straight
+// out of the scratch's arenas (zero-copy).
 func (s *Server) handleForm(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
 	}
 	defer s.release()
-	if binReq, binResp := isBinaryRequest(r), wantsBinary(r); binReq || binResp {
-		s.handleFormWire(w, r, binReq, binResp)
-		return
-	}
-	var req FormRequest
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxSolveBodyBytes), &req); err != nil {
-		writeSolverError(w, err)
-		return
-	}
-	eng, name, ok := s.resolve(w, req.Dataset)
-	if !ok {
-		return
-	}
-	cfg, err := req.config(s.cfg.Workers)
-	if err != nil {
-		writeSolverError(w, err)
-		return
-	}
-	ctx, cancel, effMS, err := s.solveCtx(r, req.TimeoutMS)
-	if err != nil {
-		writeSolverError(w, err)
-		return
-	}
-	defer cancel()
-	res, sc, err := s.formOnScratch(ctx, eng, cfg)
-	defer s.releaseScratch(sc)
-	if err != nil {
-		writeSolverError(w, err)
-		return
-	}
-	s.observeDegraded(&s.met.form, res.Partial)
-	// The response aliases sc's arenas; the deferred release runs
-	// only after writeJSON has serialized every byte.
-	resp := toFormResponse(name, res, false)
-	resp.EffectiveTimeoutMS = effMS
-	writeJSON(w, http.StatusOK, resp)
+	s.serveForm(w, r, isBinaryRequest(r), wantsBinary(r))
 }
 
 // handleFormBatch serves POST /form/batch: many parameter sets

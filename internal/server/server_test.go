@@ -11,6 +11,7 @@ import (
 	"groupform/internal/dataset"
 	"groupform/internal/semantics"
 	"groupform/internal/solver"
+	"groupform/internal/wire"
 )
 
 // oracleBody renders the response /form must produce for cfg: a
@@ -262,6 +263,13 @@ func TestWorkersOverride(t *testing.T) {
 	}
 	if !bytes.Equal(a.Body.Bytes(), c.Body.Bytes()) {
 		t.Fatal("clamped workers formed different groups than serial")
+	}
+	// The binary encoding follows the same worker rule.
+	d := doWire(t, s, wire.AppendFormRequest(nil, wire.FormRequest{K: absurd.K, L: absurd.L,
+		Semantics: semantics.LM, Aggregation: semantics.Min, Workers: absurd.Workers}), true, false)
+	wantStatus(t, d, http.StatusOK, "")
+	if !bytes.Equal(a.Body.Bytes(), d.Body.Bytes()) {
+		t.Fatal("clamped binary-request workers formed different groups than serial")
 	}
 	if cfg, err := absurd.config(0); err != nil || cfg.Workers > 1024 {
 		t.Fatalf("workers not clamped: %d (err %v)", cfg.Workers, err)

@@ -48,19 +48,9 @@ type FormParams struct {
 // wrap gferr.ErrBadConfig; range validation against the dataset
 // happens inside the solve (core.Config.Validate).
 func (p FormParams) config(defaultWorkers int) (core.Config, error) {
-	cfg := core.Config{K: p.K, L: p.L, Missing: p.Missing, Workers: defaultWorkers,
+	cfg := core.Config{K: p.K, L: p.L, Missing: p.Missing,
+		Workers: requestWorkers(p.Workers, defaultWorkers),
 		Anytime: p.Anytime, QualityTarget: p.QualityTarget}
-	if p.Workers != 0 {
-		cfg.Workers = p.Workers
-	}
-	// Clamp the fan-out to the hardware: worker counts beyond the CPU
-	// count only add shard overhead (results are identical for every
-	// count), and an unbounded client value would let one request
-	// spawn per-user goroutines — the pile-up the inflight semaphore
-	// exists to prevent.
-	if max := runtime.GOMAXPROCS(0); cfg.Workers > max {
-		cfg.Workers = max
-	}
 	var err error
 	if cfg.Semantics, err = cliutil.ParseSemantics(p.Semantics); err != nil {
 		return core.Config{}, gferr.BadConfigf("server: %v", err)
@@ -69,6 +59,27 @@ func (p FormParams) config(defaultWorkers int) (core.Config, error) {
 		return core.Config{}, gferr.BadConfigf("server: %v", err)
 	}
 	return cfg, nil
+}
+
+// requestWorkers is the worker rule of both request encodings: 0
+// keeps the server default, a negative count (all CPUs) passes
+// through, and positive counts clamp to the hardware.
+//
+//gfvet:zeroalloc
+func requestWorkers(requested, defaultWorkers int) int {
+	workers := defaultWorkers
+	if requested != 0 {
+		workers = requested
+	}
+	// Clamp the fan-out to the hardware: worker counts beyond the CPU
+	// count only add shard overhead (results are identical for every
+	// count), and an unbounded client value would let one request
+	// spawn per-user goroutines — the pile-up the inflight semaphore
+	// exists to prevent.
+	if m := runtime.GOMAXPROCS(0); workers > m {
+		workers = m
+	}
+	return workers
 }
 
 // FormRequest is the body of POST /form.

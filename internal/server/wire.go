@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"runtime"
 	"strings"
 
 	"groupform/internal/core"
@@ -126,48 +125,22 @@ func (s *Server) writeBodyError(w http.ResponseWriter, r *http.Request, err erro
 	writeSolverError(w, gferr.BadConfigf("server: read request body: %v", err))
 }
 
-// wireConfig materializes a decoded binary request as a core.Config,
-// mirroring FormParams.config: 0 workers keeps the server default,
-// and positive counts clamp to the hardware. No vocabulary parsing —
-// the wire enums were validated during decode.
+// serveForm serves POST /form in whichever encodings the request
+// negotiated: a JSON or binary body in, a JSON or binary answer out.
+// The caller (handleForm) already holds the admission slot. Each
+// branch counts the request against its dataset as soon as the name
+// resolves.
 //
 //gfvet:zeroalloc
-func wireConfig(req wire.FormRequest, defaultWorkers int) core.Config {
-	workers := defaultWorkers
-	if req.Workers != 0 {
-		workers = req.Workers
-	}
-	if m := runtime.GOMAXPROCS(0); workers > m {
-		workers = m
-	}
-	return core.Config{
-		K:             req.K,
-		L:             req.L,
-		Semantics:     req.Semantics,
-		Aggregation:   req.Aggregation,
-		Missing:       req.Missing,
-		Workers:       workers,
-		Anytime:       req.Anytime,
-		QualityTarget: req.QualityTarget,
-	}
-}
-
-// handleFormWire serves POST /form when either direction negotiated
-// the binary format. The caller (handleForm) already holds the
-// admission slot.
-//
-//gfvet:zeroalloc
-func (s *Server) handleFormWire(w http.ResponseWriter, r *http.Request, binReq, binResp bool) {
+func (s *Server) serveForm(w http.ResponseWriter, r *http.Request, binReq, binResp bool) {
 	wb := s.leaseWireBuf()
 	defer s.releaseWireBuf(wb)
 
 	var (
-		ent       *dsEntry
 		eng       *solver.Engine
 		name      string // the resolved name, for a JSON response
 		cfg       core.Config
 		timeoutMS int64
-		ok        bool
 	)
 	if binReq {
 		var err error
@@ -181,18 +154,26 @@ func (s *Server) handleFormWire(w http.ResponseWriter, r *http.Request, binReq, 
 			writeSolverError(w, err)
 			return
 		}
+		var ent *dsEntry
+		var ok bool
 		ent, eng, name, ok = s.reg.entryWire(req.Dataset)
 		if !ok {
 			writeError(w, http.StatusNotFound, CodeNotFound,
 				notFoundMsg(string(req.Dataset), s.reg.Names()))
 			return
 		}
+		ent.requests.Inc()
 		if name == "" && !binResp {
 			// Only the JSON response needs the name materialized; the
 			// binary response omits it (the client supplied it).
 			name = string(req.Dataset)
 		}
-		cfg = wireConfig(req, s.cfg.Workers)
+		// No vocabulary parsing: the wire enums were validated
+		// during decode.
+		cfg = core.Config{K: req.K, L: req.L, Semantics: req.Semantics,
+			Aggregation: req.Aggregation, Missing: req.Missing,
+			Workers: requestWorkers(req.Workers, s.cfg.Workers),
+			Anytime: req.Anytime, QualityTarget: req.QualityTarget}
 		timeoutMS = req.TimeoutMS
 	} else {
 		var req FormRequest
@@ -200,21 +181,17 @@ func (s *Server) handleFormWire(w http.ResponseWriter, r *http.Request, binReq, 
 			writeSolverError(w, err)
 			return
 		}
-		ent, eng, name, ok = s.reg.entry(req.Dataset)
-		if !ok {
-			writeError(w, http.StatusNotFound, CodeNotFound,
-				notFoundMsg(req.Dataset, s.reg.Names()))
+		var ok bool
+		if eng, name, ok = s.resolve(w, req.Dataset); !ok {
 			return
 		}
 		var err error
-		cfg, err = req.config(s.cfg.Workers)
-		if err != nil {
+		if cfg, err = req.config(s.cfg.Workers); err != nil {
 			writeSolverError(w, err)
 			return
 		}
 		timeoutMS = req.TimeoutMS
 	}
-	ent.requests.Inc()
 
 	ctx, cancel, effMS, err := s.solveCtx(r, timeoutMS)
 	if err != nil {

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -170,6 +172,17 @@ func TestWireErrorsAreJSON(t *testing.T) {
 		Dataset: []byte("nope"), K: 3, L: 6,
 		Semantics: semantics.LM, Aggregation: semantics.Min,
 	})
+	// A well-formed frame in the retired version-1 layout: no
+	// quality_target field, name length at offset 36.
+	le := binary.LittleEndian
+	v1 := []byte{'G', 1, 0x01, 0, byte(semantics.AV), byte(semantics.Sum), 0, 0}
+	v1 = le.AppendUint32(v1, 5)                     // k
+	v1 = le.AppendUint32(v1, 10)                    // l
+	v1 = le.AppendUint64(v1, math.Float64bits(2.5)) // missing
+	v1 = le.AppendUint32(v1, math.MaxUint32)        // workers -1
+	v1 = le.AppendUint64(v1, 1500)                  // timeout_ms
+	v1 = le.AppendUint16(v1, 4)
+	v1 = append(v1, "main"...)
 	cases := []struct {
 		name   string
 		body   []byte
@@ -177,6 +190,7 @@ func TestWireErrorsAreJSON(t *testing.T) {
 		code   string
 	}{
 		{"unknown dataset", unknown, http.StatusNotFound, CodeNotFound},
+		{"version-1 frame", v1, http.StatusBadRequest, CodeBadConfig},
 		{"malformed frame", []byte{0xde, 0xad, 0xbe, 0xef}, http.StatusBadRequest, CodeBadConfig},
 		{"trailing bytes", append(append([]byte(nil), unknown...), 0), http.StatusBadRequest, CodeBadConfig},
 		{"empty body", nil, http.StatusBadRequest, CodeBadConfig},

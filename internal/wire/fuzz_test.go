@@ -13,10 +13,8 @@ import (
 // FuzzWireDecode drives both decoders with arbitrary bytes: neither
 // may panic, every rejection must wrap gferr.ErrBadConfig (so the
 // serving tier classifies it 400, never 500), and any frame a
-// decoder accepts must round-trip — byte-identically for frames at
-// the current version (the codec is bijective on its valid set), and
-// semantically for accepted version-1 frames, which writers upgrade
-// to version 2 on re-encode.
+// decoder accepts must re-encode byte-identically: the codec is
+// bijective on its valid set, which holds version-2 frames only.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{magic, Version, kindFormRequest, 0})
@@ -30,15 +28,8 @@ func FuzzWireDecode(f *testing.F) {
 		TimeoutMS: 25, Anytime: true, QualityTarget: 0.85,
 	}))
 	// A hand-built version-1 request (shorter fixed section, no
-	// quality_target) seeds the fallback path.
-	v1req := []byte{magic, 1, kindFormRequest, 0, 1, 2, 0, 0}
-	v1req = appendU32(v1req, 5)
-	v1req = appendU32(v1req, 10)
-	v1req = appendF64(v1req, 2.5)
-	v1req = appendU32(v1req, 1)
-	v1req = appendU64(v1req, 100)
-	v1req = appendU16(v1req, 4)
-	f.Add(append(v1req, "main"...))
+	// quality_target) seeds the version rejection.
+	f.Add(v1Request())
 	f.Add(AppendFormResponse(nil, &core.Result{
 		Algorithm: "grd", Objective: 1.5, Buckets: 2,
 		Groups: []core.Group{{
@@ -56,18 +47,8 @@ func FuzzWireDecode(f *testing.F) {
 	}))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		if req, err := ParseFormRequest(frame); err == nil {
-			again := AppendFormRequest(nil, req)
-			if frame[1] == Version {
-				if string(again) != string(frame) {
-					t.Fatalf("request re-encode diverged:\n in %x\nout %x", frame, again)
-				}
-			} else if req2, err := ParseFormRequest(again); err != nil {
-				t.Fatalf("v1 request re-encode rejected: %v", err)
-			} else if again2 := AppendFormRequest(nil, req2); string(again2) != string(again) {
-				// Byte-compare the upgraded encodings rather than the
-				// structs: NaN payloads round-trip bit-exactly but
-				// fail ==.
-				t.Fatalf("v1 request upgrade not a fixed point:\n 1st %x\n 2nd %x", again, again2)
+			if again := AppendFormRequest(nil, req); string(again) != string(frame) {
+				t.Fatalf("request re-encode diverged:\n in %x\nout %x", frame, again)
 			}
 		} else if !errors.Is(err, gferr.ErrBadConfig) {
 			t.Fatalf("request reject not classified: %v", err)
@@ -84,16 +65,8 @@ func FuzzWireDecode(f *testing.F) {
 					Satisfaction: g.Satisfaction, Merged: g.Merged,
 				})
 			}
-			again := AppendFormResponse(nil, cr)
-			if frame[1] == Version {
-				if string(again) != string(frame) {
-					t.Fatalf("response re-encode diverged:\n in %x\nout %x", frame, again)
-				}
-			} else if res2, err := ParseFormResponse(again); err != nil {
-				t.Fatalf("v1 response re-encode rejected: %v", err)
-			} else if res2.Algorithm != res.Algorithm || len(res2.Groups) != len(res.Groups) ||
-				res2.Degraded != res.Degraded {
-				t.Fatalf("v1 response round trip = %+v, want %+v", res2, res)
+			if again := AppendFormResponse(nil, cr); string(again) != string(frame) {
+				t.Fatalf("response re-encode diverged:\n in %x\nout %x", frame, again)
 			}
 		} else if !errors.Is(err, gferr.ErrBadConfig) {
 			t.Fatalf("response reject not classified: %v", err)

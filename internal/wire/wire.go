@@ -19,13 +19,10 @@
 //	header (4 bytes): magic 'G' (0x47), version (0x02), kind, flags
 //	kinds: 0x01 form request, 0x02 form response
 //
-// The fourth header byte was reserved-must-be-zero in version 1 and
-// became a flags byte in version 2. Bit 0 means "anytime" on a
+// The fourth header byte is a flags byte. Bit 0 means "anytime" on a
 // request and "degraded" on a response; all other bits are reserved
-// and rejected. Writers always emit version 2; readers also accept
-// version-1 frames (whose flags byte must be zero and whose request
-// body lacks the quality_target field, and whose response body never
-// carries a degraded block).
+// and rejected. Writers and readers speak version 2 only; a frame of
+// any other version is rejected.
 //
 // Form request (kind 0x01), after the header:
 //
@@ -37,12 +34,12 @@
 //	f64 missing
 //	i32 workers
 //	i64 timeout_ms
-//	f64 quality_target (v2 only; 0 disables)
+//	f64 quality_target (0 disables)
 //	u16 dataset name length, then that many name bytes
 //
 // Form response (kind 0x02), after the header:
 //
-//	degraded block, only when flags bit 0 is set (v2 only):
+//	degraded block, only when flags bit 0 is set:
 //	  f64 bound
 //	  f64 gap
 //	  u32 completed
@@ -76,12 +73,9 @@ import (
 // both request Content-Type and response Accept.
 const ContentType = "application/x-groupform-binary"
 
-// Version is the format version writers emit in every frame header.
-// Readers additionally accept minVersion frames.
-const (
-	Version    = 2
-	minVersion = 1
-)
+// Version is the format version of every frame header, written and
+// accepted.
+const Version = 2
 
 // Frame kinds.
 const (
@@ -91,8 +85,7 @@ const (
 
 const magic = 'G'
 
-// Header flag bits (version 2; the byte was reserved-must-be-zero in
-// version 1). Bit 0 is the only assigned bit in either kind.
+// Header flag bits. Bit 0 is the only assigned bit in either kind.
 const (
 	// FlagAnytime marks a request that opts into graceful
 	// degradation: on deadline the server answers with the best
@@ -106,13 +99,10 @@ const (
 )
 
 // headerLen is the frame header size; reqFixedLen the fixed-size part
-// of a version-2 request frame (header + scalars + name length
-// prefix); reqFixedLenV1 the version-1 layout, which lacks the
-// quality_target f64.
+// of a request frame (header + scalars + name length prefix).
 const (
-	headerLen     = 4
-	reqFixedLenV1 = headerLen + 1 + 1 + 2 + 4 + 4 + 8 + 4 + 8 + 2
-	reqFixedLen   = reqFixedLenV1 + 8
+	headerLen   = 4
+	reqFixedLen = headerLen + 1 + 1 + 2 + 4 + 4 + 8 + 4 + 8 + 8 + 2
 )
 
 // maxNameLen bounds the dataset name, mirroring the registry's
@@ -126,9 +116,9 @@ const maxNameLen = 128
 var (
 	errTruncated   = gferr.BadConfigf("wire: frame truncated")
 	errMagic       = gferr.BadConfigf("wire: bad magic byte (want 'G')")
-	errVersion     = gferr.BadConfigf("wire: unsupported format version (want 1 or 2)")
+	errVersion     = gferr.BadConfigf("wire: unsupported format version (want 2)")
 	errKind        = gferr.BadConfigf("wire: unexpected frame kind")
-	errReserved    = gferr.BadConfigf("wire: reserved header/request bytes must be zero")
+	errReserved    = gferr.BadConfigf("wire: reserved request bytes must be zero")
 	errFlags       = gferr.BadConfigf("wire: unknown header flag bits set")
 	errSemantics   = gferr.BadConfigf("wire: semantics byte out of range (want 0 lm or 1 av)")
 	errAggregation = gferr.BadConfigf("wire: aggregation byte out of range (want 0..4)")
@@ -151,7 +141,7 @@ type FormRequest struct {
 	// Anytime opts into graceful degradation (header flag bit 0);
 	// QualityTarget, in (0, 1], stops the solver early once its bound
 	// proves the incumbent is within that fraction of optimal. Zero
-	// disables; version-1 frames always decode with both unset.
+	// disables.
 	Anytime       bool
 	QualityTarget float64
 }
@@ -222,17 +212,14 @@ func AppendFormRequest(dst []byte, r FormRequest) []byte {
 //gfvet:zeroalloc
 func ParseFormRequest(frame []byte) (FormRequest, error) {
 	var r FormRequest
-	if len(frame) < reqFixedLenV1 {
+	if len(frame) < headerLen {
 		return r, errTruncated
 	}
-	ver, flags, err := checkHeader(frame, kindFormRequest)
+	flags, err := checkHeader(frame, kindFormRequest)
 	if err != nil {
 		return r, err
 	}
-	fixed := reqFixedLen
-	if ver == 1 {
-		fixed = reqFixedLenV1
-	} else if len(frame) < reqFixedLen {
+	if len(frame) < reqFixedLen {
 		return r, errTruncated
 	}
 	if frame[6] != 0 || frame[7] != 0 {
@@ -253,22 +240,19 @@ func ParseFormRequest(frame []byte) (FormRequest, error) {
 	r.Missing = readF64(frame[16:])
 	r.Workers = int(int32(readU32(frame[24:])))
 	r.TimeoutMS = int64(readU64(frame[28:]))
+	r.QualityTarget = readF64(frame[36:])
 	r.Anytime = flags&FlagAnytime != 0
-	nameOff := fixed - 2
-	if ver >= 2 {
-		r.QualityTarget = readF64(frame[36:])
-	}
-	n := int(readU16(frame[nameOff:]))
+	n := int(readU16(frame[reqFixedLen-2:]))
 	if n > maxNameLen {
 		return r, errNameLen
 	}
-	if len(frame) < fixed+n {
+	if len(frame) < reqFixedLen+n {
 		return r, errTruncated
 	}
-	if len(frame) > fixed+n {
+	if len(frame) > reqFixedLen+n {
 		return r, errTrailing
 	}
-	r.Dataset = frame[fixed : fixed+n]
+	r.Dataset = frame[reqFixedLen : reqFixedLen+n]
 	return r, nil
 }
 
@@ -358,7 +342,7 @@ func ParseFormResponse(frame []byte) (*FormResult, error) {
 	if len(frame) < headerLen+1 {
 		return nil, errTruncated
 	}
-	_, flags, err := checkHeader(frame, kindFormResponse)
+	flags, err := checkHeader(frame, kindFormResponse)
 	if err != nil {
 		return nil, err
 	}
@@ -474,30 +458,25 @@ func ParseFormResponse(frame []byte) (*FormResult, error) {
 }
 
 // checkHeader validates the 4-byte frame header against a kind and
-// returns the frame's version and flags byte. Version-1 frames
-// predate flags, so their fourth byte must be zero; version-2 frames
-// may set known flag bits only.
+// returns the frame's flags byte, in which only known bits may be
+// set.
 //
 //gfvet:zeroalloc
-func checkHeader(frame []byte, kind byte) (ver, flags byte, err error) {
+func checkHeader(frame []byte, kind byte) (flags byte, err error) {
 	if frame[0] != magic {
-		return 0, 0, errMagic
+		return 0, errMagic
 	}
-	ver = frame[1]
-	if ver < minVersion || ver > Version {
-		return 0, 0, errVersion
+	if frame[1] != Version {
+		return 0, errVersion
 	}
 	if frame[2] != kind {
-		return 0, 0, errKind
+		return 0, errKind
 	}
 	flags = frame[3]
-	if ver == 1 && flags != 0 {
-		return 0, 0, errReserved
-	}
 	if flags&^byte(knownFlags) != 0 {
-		return 0, 0, errFlags
+		return 0, errFlags
 	}
-	return ver, flags, nil
+	return flags, nil
 }
 
 // decoder is a bounds-checked cursor over a frame.

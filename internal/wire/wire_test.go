@@ -86,10 +86,9 @@ func TestParseFormRequestRejects(t *testing.T) {
 	}
 }
 
-// TestFormRequestV1Fallback hand-encodes a version-1 frame (no
-// quality_target field, name length at offset 36) and checks the
-// reader still accepts it, decoding with the anytime knobs unset.
-func TestFormRequestV1Fallback(t *testing.T) {
+// v1Request hand-encodes sampleRequest in the retired version-1
+// layout: no quality_target field, name length at offset 36.
+func v1Request() []byte {
 	want := sampleRequest()
 	b := []byte{magic, 1, kindFormRequest, 0}
 	b = append(b, byte(want.Semantics), byte(want.Aggregation), 0, 0)
@@ -99,16 +98,18 @@ func TestFormRequestV1Fallback(t *testing.T) {
 	b = appendU32(b, uint32(int32(want.Workers)))
 	b = appendU64(b, uint64(want.TimeoutMS))
 	b = appendU16(b, uint16(len(want.Dataset)))
-	b = append(b, want.Dataset...)
-	got, err := ParseFormRequest(b)
-	if err != nil {
-		t.Fatal(err)
+	return append(b, want.Dataset...)
+}
+
+// TestFormRequestV1Fallback pins the fallback's removal: a
+// well-formed version-1 frame is rejected as a bad version.
+func TestFormRequestV1Fallback(t *testing.T) {
+	got, err := ParseFormRequest(v1Request())
+	if err == nil {
+		t.Fatalf("version-1 frame decoded as %+v", got)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1 fallback = %+v, want %+v", got, want)
-	}
-	if got.Anytime || got.QualityTarget != 0 {
-		t.Fatalf("v1 frame decoded anytime fields: %+v", got)
+	if !errors.Is(err, gferr.ErrBadConfig) || !errors.Is(err, errVersion) {
+		t.Fatalf("err = %v, want errVersion wrapping ErrBadConfig", err)
 	}
 }
 
@@ -159,8 +160,8 @@ func TestFormResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFormResponseDegraded round-trips the version-2 degraded block
-// and checks a version-1 frame (same body, no flags) still decodes.
+// TestFormResponseDegraded round-trips the degraded block and checks
+// that a complete result's frame, relabeled version 1, is rejected.
 func TestFormResponseDegraded(t *testing.T) {
 	res := sampleResult()
 	res.Partial = &core.Partial{Bound: 20.5, Gap: 7.75, Completed: 3, Total: 8}
@@ -179,8 +180,9 @@ func TestFormResponseDegraded(t *testing.T) {
 		t.Fatalf("degraded body mismatch: %+v", got)
 	}
 
-	// A complete result sets no flag and carries no block, and the
-	// same bytes relabeled version 1 decode identically.
+	// A complete result sets no flag and carries no block. The same
+	// bytes relabeled version 1 were a valid version-1 frame; the
+	// reader no longer accepts them.
 	res.Partial = nil
 	v2 := AppendFormResponse(nil, res)
 	if v2[3] != 0 {
@@ -188,12 +190,8 @@ func TestFormResponseDegraded(t *testing.T) {
 	}
 	v1 := append([]byte(nil), v2...)
 	v1[1] = 1
-	got1, err := ParseFormResponse(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got1.Degraded || got1.Algorithm != res.Algorithm || got1.Objective != res.Objective {
-		t.Fatalf("v1 fallback = %+v", got1)
+	if got1, err := ParseFormResponse(v1); !errors.Is(err, gferr.ErrBadConfig) {
+		t.Fatalf("version-1 frame: got %+v, err = %v, want ErrBadConfig", got1, err)
 	}
 }
 

@@ -6,6 +6,11 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"groupform/internal/baseline"
+	"groupform/internal/core"
+	"groupform/internal/ilp"
+	"groupform/internal/opt"
 )
 
 // solverTestDataset builds a clustered synthetic dataset small enough
@@ -35,9 +40,20 @@ func tinyDataset(t *testing.T) *Dataset {
 	return ds
 }
 
+// solveOnce is the one-shot registry solve the facade tests use:
+// construct the named solver and run it under a background context.
+func solveOnce(name string, ds *Dataset, cfg Config, opts ...SolverOption) (*Result, error) {
+	s, err := NewSolver(name, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return s.Solve(context.Background(), ds, cfg)
+}
+
 // TestRegistryMatchesLegacy: every algorithm reached through
-// NewSolver returns exactly what its legacy facade entry point
-// returns — same groups, same scores, same objective.
+// NewSolver returns exactly what its internal entry point returns
+// under the equivalent options — same groups, same scores, same
+// objective — pinning the registry's option mapping.
 func TestRegistryMatchesLegacy(t *testing.T) {
 	ctx := context.Background()
 	big := solverTestDataset(t)
@@ -50,23 +66,24 @@ func TestRegistryMatchesLegacy(t *testing.T) {
 		opts   []SolverOption
 		ds     *Dataset
 		cfg    Config
-		legacy func() (*Result, error)
+		direct func() (*Result, error)
 	}{
-		{"grd", nil, big, bigCfg, func() (*Result, error) { return Form(big, bigCfg) }},
+		{"grd", nil, big, bigCfg, func() (*Result, error) { return core.Form(ctx, big, bigCfg) }},
 		{"baseline-kendall", []SolverOption{WithSeed(7)}, big, bigCfg, func() (*Result, error) {
-			return FormBaseline(big, BaselineConfig{Config: bigCfg, Method: KendallMedoids, Seed: 7})
+			return baseline.Form(ctx, big, baseline.Config{Config: bigCfg, Method: baseline.KendallMedoids, Seed: 7})
 		}},
 		{"baseline-kmeans", []SolverOption{WithSeed(7), WithMaxIter(20)}, big, bigCfg, func() (*Result, error) {
-			return FormBaseline(big, BaselineConfig{Config: bigCfg, Method: VectorKMeans, Seed: 7, MaxIter: 20})
+			return baseline.Form(ctx, big, baseline.Config{Config: bigCfg, Method: baseline.VectorKMeans, Seed: 7, MaxIter: 20})
 		}},
 		{"baseline-clara", []SolverOption{WithSeed(7), WithPlusPlus(true)}, big, bigCfg, func() (*Result, error) {
-			return FormBaseline(big, BaselineConfig{Config: bigCfg, Method: ClaraMedoids, Seed: 7, PlusPlus: true})
+			return baseline.Form(ctx, big, baseline.Config{Config: bigCfg, Method: baseline.ClaraMedoids, Seed: 7, PlusPlus: true})
 		}},
-		{"exact", nil, tiny, tinyCfg, func() (*Result, error) { return FormExact(tiny, tinyCfg) }},
-		{"bb", nil, tiny, tinyCfg, func() (*Result, error) { return FormBranchAndBound(tiny, tinyCfg, BBOptions{}) }},
+		{"exact", nil, tiny, tinyCfg, func() (*Result, error) { return opt.Exact(ctx, tiny, tinyCfg) }},
+		{"bb", nil, tiny, tinyCfg, func() (*Result, error) { return opt.BranchAndBound(ctx, tiny, tinyCfg, BBOptions{}) }},
 		{"ls", []SolverOption{WithLSOptions(LSOptions{Iterations: 500, Restarts: 2, Seed: 3, Anneal: true})}, big, bigCfg, func() (*Result, error) {
-			return FormLocalSearch(big, bigCfg, LSOptions{Iterations: 500, Restarts: 2, Seed: 3, Anneal: true})
+			return opt.LocalSearch(ctx, big, bigCfg, LSOptions{Iterations: 500, Restarts: 2, Seed: 3, Anneal: true})
 		}},
+		{"ip", nil, tiny, tinyCfg, func() (*Result, error) { return ilp.Form(ctx, tiny, tinyCfg, IPOptions{}) }},
 	}
 	for _, tc := range cases {
 		s, err := NewSolver(tc.name, tc.opts...)
@@ -80,38 +97,12 @@ func TestRegistryMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want, err := tc.legacy()
+		want, err := tc.direct()
 		if err != nil {
-			t.Fatalf("%s legacy: %v", tc.name, err)
+			t.Fatalf("%s direct: %v", tc.name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: registry result differs from legacy entry point\n got: %+v\nwant: %+v", tc.name, got, want)
-		}
-	}
-
-	// The IP solver's legacy entry point returns a partition rather
-	// than a Result; compare groups and objective.
-	ip, err := NewSolver("ip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ip.Solve(ctx, tiny, tinyCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups, obj, err := SolveIP(tiny, tinyCfg.L, LM, IPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Objective != obj {
-		t.Errorf("ip objective = %v, legacy %v", res.Objective, obj)
-	}
-	if len(res.Groups) != len(groups) {
-		t.Fatalf("ip groups = %d, legacy %d", len(res.Groups), len(groups))
-	}
-	for i := range groups {
-		if !reflect.DeepEqual(res.Groups[i].Members, groups[i]) {
-			t.Errorf("ip group %d = %v, legacy %v", i, res.Groups[i].Members, groups[i])
+			t.Errorf("%s: registry result differs from the internal entry point\n got: %+v\nwant: %+v", tc.name, got, want)
 		}
 	}
 }
