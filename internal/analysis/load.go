@@ -72,12 +72,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Module returns the module path from go.mod.
-func (l *Loader) Module() string { return l.module }
-
-// Root returns the module root directory.
-func (l *Loader) Root() string { return l.root }
-
 func findModule(dir string) (root, module string, err error) {
 	dir, err = filepath.Abs(dir)
 	if err != nil {

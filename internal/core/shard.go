@@ -35,14 +35,15 @@ import (
 // docs/ARCHITECTURE.md, "The scatter-gather tier".
 
 // ShardBucket is one intermediate group as it crosses the wire: the
-// bucket key (opaque bytes, compared for equality only), the shared
-// item list with the scores folded over this shard's members, and the
-// resident members in preference-list (ascending user) order.
+// bucket key (opaque bytes, compared for equality only; base64 in
+// JSON), the shared item list with the scores folded over this shard's
+// members, and the resident members in preference-list (ascending
+// user) order. Its JSON encoding is the /shard/buckets wire record.
 type ShardBucket struct {
-	Key     []byte
-	Items   []dataset.ItemID
-	Scores  []float64
-	Members []dataset.UserID
+	Key     []byte           `json:"key"`
+	Items   []dataset.ItemID `json:"items"`
+	Scores  []float64        `json:"scores"`
+	Members []dataset.UserID `json:"members"`
 }
 
 // ShardPass is one shard's complete bucketize output plus the

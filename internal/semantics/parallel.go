@@ -80,13 +80,6 @@ func (sc Scorer) accumulateInto(cand map[dataset.ItemID]*acc, members []dataset.
 	}
 }
 
-// accumulateParallel runs the reference fold per fixed-size chunk of
-// members concurrently, then left-folds the chunk partials in chunk
-// order. The min merge keeps the earlier chunk's value on ties,
-// matching the serial fold's keep-first behavior exactly; count is
-// integer-exact; the AV sums reassociate (chunk-tree instead of flat
-// left fold), which is bit-exact for exactly-representable weighted
-// ratings and deterministic for every worker count regardless.
 // denseAcc is the index-space accumulator: one slot per ItemIdx in
 // four parallel flat arrays, plus the first-touch order of the slots
 // actually used. count[j] == 0 marks an untouched slot, so only
@@ -144,6 +137,12 @@ func (da *denseAcc) clear() {
 func (da *denseAcc) release() {
 	da.clear()
 	denseAccPool.Put(da)
+}
+
+// stats returns slot j as the ItemStats record of item index j of ds;
+// the slot must be touched.
+func (da *denseAcc) stats(ds *dataset.Dataset, j dataset.ItemIdx) ItemStats {
+	return ItemStats{Item: ds.ItemAt(j), Min: da.min[j], Count: int(da.count[j]), WSum: da.wsum[j], WRaters: da.wraters[j]}
 }
 
 // accumulateIdx folds the members' ratings into da in member order,
@@ -210,6 +209,13 @@ func (sc Scorer) accumulateIdxParallel(members []dataset.UserID, m int) *denseAc
 	return out
 }
 
+// accumulateParallel runs the reference fold per fixed-size chunk of
+// members concurrently, then left-folds the chunk partials in chunk
+// order. The min merge keeps the earlier chunk's value on ties,
+// matching the serial fold's keep-first behavior exactly; count is
+// integer-exact; the AV sums reassociate (chunk-tree instead of flat
+// left fold), which is bit-exact for exactly-representable weighted
+// ratings and deterministic for every worker count regardless.
 func (sc Scorer) accumulateParallel(members []dataset.UserID) map[dataset.ItemID]*acc {
 	chunks := par.Chunks(len(members), topkChunk)
 	partials := make([]map[dataset.ItemID]*acc, len(chunks))

@@ -44,13 +44,7 @@ func (sc Scorer) PseudoUserTopK(members []dataset.UserID, k, minRaters int) ([]d
 		}
 		all = append(all, scoredItem{sc.DS.ItemAt(j), da.wsum[j] / da.wraters[j]})
 	}
-	all = selectScored(all, k)
-	items := make([]dataset.ItemID, 0, k)
-	scores := make([]float64, 0, k)
-	for _, s := range all {
-		items = append(items, s.item)
-		scores = append(scores, s.score)
-	}
+	items, scores := split(selectScored(all, k), make([]dataset.ItemID, 0, k), make([]float64, 0, k))
 	if len(items) < k {
 		// Mark the listed items in the count array (negative counts
 		// never occur otherwise and are cleared by release via the

@@ -302,17 +302,11 @@ func (s *TopKScratch) candidates(n int) []scoredItem {
 // stay bit-identical.
 func (s *TopKScratch) finish(all []scoredItem, k int) ([]dataset.ItemID, []float64) {
 	s.cand = all
-	all = selectScored(all, k)
 	if cap(s.items) < k {
 		s.items = make([]dataset.ItemID, 0, k)
 		s.scores = make([]float64, 0, k)
 	}
-	items, scores := s.items[:0], s.scores[:0]
-	for _, c := range all {
-		items = append(items, c.item)
-		scores = append(scores, c.score)
-	}
-	return items, scores
+	return split(selectScored(all, k), s.items[:0], s.scores[:0])
 }
 
 // topkScratchPool backs the allocating TopK wrapper so its candidate
@@ -398,9 +392,31 @@ func selectScored(all []scoredItem, k int) []scoredItem {
 	return all[:selection.TopK(all, k, lessScored)]
 }
 
+// split appends the selected candidates to the parallel item and score
+// output arrays.
+func split(sel []scoredItem, items []dataset.ItemID, scores []float64) ([]dataset.ItemID, []float64) {
+	for _, c := range sel {
+		items = append(items, c.item)
+		scores = append(scores, c.score)
+	}
+	return items, scores
+}
+
+// imputed is the group score of an item no member rated, the padding
+// value of a short top-k list: missing under LM, totalW·missing under
+// AV.
+func imputed(sem Semantics, totalW, missing float64) float64 {
+	if sem == AV {
+		return missing * totalW
+	}
+	return missing
+}
+
 // topKDense is the index-space TopK backend: candidates accumulate in
-// pooled dense arrays and padding reads the untouched-slot markers
-// directly — no map from the first rating probe to the returned list.
+// pooled dense arrays, each touched slot is scored as an ItemStats
+// record (the shards' and the router's kernel), and padding reads the
+// untouched-slot markers directly — no map from the first rating probe
+// to the returned list.
 //
 //gfvet:zeroalloc
 func (sc Scorer) topKDense(sem Semantics, members []dataset.UserID, k int, totalW float64, s *TopKScratch) ([]dataset.ItemID, []float64) {
@@ -416,29 +432,17 @@ func (sc Scorer) topKDense(sem Semantics, members []dataset.UserID, k int, total
 	}
 	all := s.candidates(len(da.touched))
 	for _, j := range da.touched {
-		var score float64
-		switch sem {
-		case LM:
-			score = da.min[j]
-			if int(da.count[j]) < len(members) && sc.Missing < score {
-				score = sc.Missing
-			}
-		case AV:
-			score = da.wsum[j] + (totalW-da.wraters[j])*sc.Missing
-		}
-		all = append(all, scoredItem{sc.DS.ItemAt(j), score})
+		st := da.stats(sc.DS, j)
+		all = append(all, scoredItem{st.Item, st.Score(sem, len(members), totalW, sc.Missing)})
 	}
 	items, scores := s.finish(all, k)
 	if len(items) < k {
-		imputed := sc.Missing
-		if sem == AV {
-			imputed = sc.Missing * totalW
-		}
+		pad := imputed(sem, totalW, sc.Missing)
 		ids := sc.DS.Items()
 		for j := 0; j < m && len(items) < k; j++ {
 			if da.count[j] == 0 {
 				items = append(items, ids[j])
-				scores = append(scores, imputed)
+				scores = append(scores, pad)
 			}
 		}
 	}

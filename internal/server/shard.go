@@ -27,7 +27,6 @@ package server
 // Σresidents == len(members) check enforces).
 
 import (
-	"math"
 	"net/http"
 
 	"groupform/internal/core"
@@ -48,17 +47,6 @@ type ShardInfo struct {
 	Shards int `json:"shards"`
 }
 
-// WireShardBucket is one candidate bucket on the wire. Key is the
-// opaque bucketizing key (base64 in JSON); Items/Scores are the
-// resident-local top-K positions and their partial scores; Members
-// are the resident users folded into the bucket, in shard row order.
-type WireShardBucket struct {
-	Key     []byte           `json:"key"`
-	Items   []dataset.ItemID `json:"items"`
-	Scores  []float64        `json:"scores"`
-	Members []dataset.UserID `json:"members"`
-}
-
 // ShardBucketsResponse is the body of a successful POST
 // /shard/buckets.
 type ShardBucketsResponse struct {
@@ -69,33 +57,21 @@ type ShardBucketsResponse struct {
 	// Bound is this shard's contribution to the anytime admissible
 	// bound (core.BoundContribution); the router combines them with
 	// core.CombineBounds for degraded-mode certificates.
-	Bound              float64           `json:"bound"`
-	Buckets            []WireShardBucket `json:"buckets"`
-	EffectiveTimeoutMS int64             `json:"effective_timeout_ms,omitempty"`
+	Bound              float64            `json:"bound"`
+	Buckets            []core.ShardBucket `json:"buckets"`
+	EffectiveTimeoutMS int64              `json:"effective_timeout_ms,omitempty"`
 }
 
 // ShardScoresRequest asks for partial score stats over the residents
 // of Members. With Items unset the stats cover every item any
-// resident rated (canonical ascending-item order); with Items set
-// the response aligns positionally with it (probe mode, used when
-// the router refolds a bucket piece against its stored positions).
+// resident rated (canonical item-index order); with Items set the
+// response aligns positionally with it (probe mode, used when the
+// router refolds a bucket piece against its stored positions).
 type ShardScoresRequest struct {
 	Dataset   string           `json:"dataset"`
 	TimeoutMS int64            `json:"timeout_ms,omitempty"`
 	Members   []dataset.UserID `json:"members"`
 	Items     []dataset.ItemID `json:"items,omitempty"`
-}
-
-// ShardItemStats is one item's partial stats on the wire. Min is 0
-// when Count is 0 — JSON cannot carry the +Inf the in-memory
-// representation uses — and the router reconstructs the identity
-// element from Count.
-type ShardItemStats struct {
-	Item    dataset.ItemID `json:"item"`
-	Min     float64        `json:"min"`
-	Count   int            `json:"count"`
-	WSum    float64        `json:"wsum"`
-	WRaters float64        `json:"wraters"`
 }
 
 // ShardScoresResponse is the body of a successful POST /shard/scores.
@@ -105,8 +81,8 @@ type ShardScoresResponse struct {
 	// shard. The router requires the per-shard counts to sum to the
 	// full membership — every user on exactly one shard — and treats
 	// a mismatch as a topology fault, not a soft error.
-	Residents int              `json:"residents"`
-	Stats     []ShardItemStats `json:"stats"`
+	Residents int                   `json:"residents"`
+	Stats     []semantics.ItemStats `json:"stats"`
 }
 
 // ShardCatalogResponse is the body of GET /shard/catalog?dataset=X.
@@ -170,19 +146,13 @@ func (s *Server) handleShardBuckets(w http.ResponseWriter, r *http.Request) {
 		writeSolverError(w, err)
 		return
 	}
-	resp := ShardBucketsResponse{
+	writeJSON(w, http.StatusOK, ShardBucketsResponse{
 		Dataset:            name,
 		Users:              pass.Users,
 		Bound:              pass.Bound,
-		Buckets:            make([]WireShardBucket, len(pass.Buckets)),
+		Buckets:            pass.Buckets,
 		EffectiveTimeoutMS: effMS,
-	}
-	for i, b := range pass.Buckets {
-		resp.Buckets[i] = WireShardBucket{
-			Key: b.Key, Items: b.Items, Scores: b.Scores, Members: b.Members,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // handleShardScores serves POST /shard/scores. Members not resident
@@ -236,22 +206,7 @@ func (s *Server) handleShardScores(w http.ResponseWriter, r *http.Request) {
 		writeSolverError(w, err)
 		return
 	}
-	resp := ShardScoresResponse{
-		Dataset:   name,
-		Residents: len(residents),
-		Stats:     make([]ShardItemStats, len(stats)),
-	}
-	for i, st := range stats {
-		min := st.Min
-		if st.Count == 0 || math.IsInf(min, 1) {
-			min = 0
-		}
-		resp.Stats[i] = ShardItemStats{
-			Item: st.Item, Min: min, Count: st.Count,
-			WSum: st.WSum, WRaters: st.WRaters,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, ShardScoresResponse{Dataset: name, Residents: len(residents), Stats: stats})
 }
 
 // handleShardCatalog serves GET /shard/catalog?dataset=X: the full
@@ -290,12 +245,9 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	writeError(w, status, code, msg)
 }
 
-// WriteSolverError classifies err with ErrorStatus and writes it.
+// WriteSolverError classifies err with the standard gferr sentinel
+// mapping every server endpoint uses and writes it.
 func WriteSolverError(w http.ResponseWriter, err error) { writeSolverError(w, err) }
-
-// ErrorStatus maps an error to its HTTP status and wire code, the
-// same classification every server endpoint uses.
-func ErrorStatus(err error) (int, string) { return errorStatus(err) }
 
 // ToFormResponse converts a solver Result into the wire envelope,
 // copying every slice out of the result (the router's results come

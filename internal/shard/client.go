@@ -2,9 +2,9 @@
 // stateless router that partitions formation work across S
 // shard-role groupformd servers (each holding one contiguous user
 // slice, see dataset.ShardUsers and server.Config.Shards) and
-// reassembles their answers through the same merge and finalize code
-// the single-node solver runs (core.MergeShardBuckets,
-// core.FinalizeMerged).
+// reassembles their answers through the same merge, finalize and
+// per-item scoring code the single-node solver runs
+// (core.MergeShardBuckets, core.FinalizeMerged, semantics.ItemStats).
 //
 // The parity contract is the point of the design: under LM semantics
 // the routed result is byte-identical to a single node solving the

@@ -3,35 +3,24 @@ package shard
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"groupform/internal/core"
 	"groupform/internal/dataset"
-	"groupform/internal/selection"
 	"groupform/internal/semantics"
 	"groupform/internal/server"
 )
 
 // gatherOracle answers core.FinalizeMerged's two rating questions by
 // fanning POST /shard/scores out to the responding shard set and
-// reassembling the per-shard ItemStats partials with the exact
-// arithmetic of semantics.Scorer:
-//
-//	LM item score = min over shard minima, dropped to Missing when
-//	    the summed rater count falls short of the membership — exact,
-//	    min is associative.
-//	AV item score = Σ WSum + (totalW − Σ WRaters)·Missing — the
-//	    topKDense formula with the member-order sum reassociated into
-//	    per-shard partials (accumulated in ascending shard order,
-//	    which for contiguous shards is the serial member order).
-//
-// Top-k selection reuses internal/selection's k-bounded kernel under
-// the same (score desc, item asc) total order the scorer sorts by,
-// and short candidate lists pad from the full item catalog in
-// ascending order, fetched lazily from the first responding shard —
-// mirroring topKDense's padding walk. One oracle serves one routed
-// request; FinalizeMerged drives it serially.
+// folding the per-shard semantics.ItemStats partials in ascending
+// shard order — for contiguous shards, the serial member order — with
+// ItemStats.Merge. Scoring, top-k selection and padding are the
+// scorer's own (ItemStats.Score, semantics.TopKFromStats); the oracle
+// only gathers and merges records, plus the item catalog a short top-k
+// list pads from, fetched lazily from the first responding shard in
+// the dataset's index order. One oracle serves one routed request;
+// FinalizeMerged drives it serially.
 type gatherOracle struct {
 	c       *Client
 	dataset string
@@ -47,27 +36,6 @@ type gatherOracle struct {
 	catErr  error
 
 	missing float64
-}
-
-// mergedStat is one item's stats folded across the responding
-// shards.
-type mergedStat struct {
-	min     float64
-	count   int
-	wsum    float64
-	wraters float64
-}
-
-// fold accumulates one shard's wire stats into m. Wire Min is
-// meaningful only when Count > 0 (JSON cannot carry the +Inf
-// identity, so the server zeroes it).
-func (m *mergedStat) fold(st server.ShardItemStats) {
-	if st.Count > 0 && st.Min < m.min {
-		m.min = st.Min
-	}
-	m.count += st.Count
-	m.wsum += st.WSum
-	m.wraters += st.WRaters
 }
 
 // fanScores asks every responding shard for the members' stats and
@@ -108,111 +76,57 @@ func (o *gatherOracle) fanScores(ctx context.Context, members []dataset.UserID, 
 	return out, nil
 }
 
-// GroupScores mirrors LocalOracle.GroupScores: the group score of
-// each listed item, positionally aligned.
+// GroupScores is LocalOracle.GroupScores over the wire: the group
+// score of each listed item, positionally aligned.
 func (o *gatherOracle) GroupScores(ctx context.Context, sem semantics.Semantics, members []dataset.UserID, items []dataset.ItemID) ([]float64, error) {
 	resps, err := o.fanScores(ctx, members, items)
 	if err != nil {
 		return nil, err
 	}
-	totalW := float64(len(members))
+	for i, r := range resps {
+		if len(r.Stats) != len(items) {
+			//gfvet:allow sentinelwrap -- deliberately unclassified: a malformed gather reply is a router-side 500, not a client-attributable sentinel, and there is no upstream cause to propagate
+			return nil, fmt.Errorf("shard: shard %d returned %d stats for %d items", o.shards[i], len(r.Stats), len(items))
+		}
+	}
 	out := make([]float64, len(items))
 	for q := range items {
-		m := mergedStat{min: math.Inf(1)}
-		for i := range o.shards {
-			if len(resps[i].Stats) != len(items) {
-				//gfvet:allow sentinelwrap -- deliberately unclassified: a malformed gather reply is a router-side 500, not a client-attributable sentinel, and there is no upstream cause to propagate
-				return nil, fmt.Errorf("shard: shard %d returned %d stats for %d items", o.shards[i], len(resps[i].Stats), len(items))
-			}
-			m.fold(resps[i].Stats[q])
+		var st semantics.ItemStats
+		for _, r := range resps {
+			st.Merge(r.Stats[q])
 		}
-		out[q] = o.itemScore(sem, m, len(members), totalW)
+		out[q] = st.Score(sem, len(members), float64(len(members)), o.missing)
 	}
 	return out, nil
 }
 
-// itemScore is semantics.Scorer.ItemScore reassembled from merged
-// stats: members who did not rate the item contribute Missing.
-func (o *gatherOracle) itemScore(sem semantics.Semantics, m mergedStat, members int, totalW float64) float64 {
-	if sem == semantics.LM {
-		score := m.min
-		if m.count < members && o.missing < score {
-			score = o.missing
-		}
-		if math.IsInf(score, 1) {
-			score = o.missing
-		}
-		return score
-	}
-	return m.wsum + (totalW-m.wraters)*o.missing
-}
-
-// scoredItem mirrors the scorer's candidate ordering: score
-// descending, item ascending — a strict total order, which is what
-// makes the selection independent of candidate enumeration order.
-type scoredItem struct {
-	item  dataset.ItemID
-	score float64
-}
-
-func lessScored(a, b scoredItem) bool {
-	if a.score != b.score {
-		return a.score > b.score
-	}
-	return a.item < b.item
-}
-
-// GroupTopK mirrors Scorer.TopK over the wire: accumulate per-item
-// stats for everything the members rated, score them through
-// itemScore, select the best k, pad from the catalog.
+// GroupTopK is LocalOracle.GroupTopK over the wire: the stats of
+// every item any member rated, merged by item, then
+// semantics.TopKFromStats.
 func (o *gatherOracle) GroupTopK(ctx context.Context, sem semantics.Semantics, members []dataset.UserID, k int) ([]dataset.ItemID, []float64, error) {
 	resps, err := o.fanScores(ctx, members, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	merged := make(map[dataset.ItemID]*mergedStat)
-	for i := range o.shards {
-		for _, st := range resps[i].Stats {
-			m, ok := merged[st.Item]
-			if !ok {
-				m = &mergedStat{min: math.Inf(1)}
-				merged[st.Item] = m
-			}
-			m.fold(st)
-		}
-	}
-	totalW := float64(len(members))
-	all := make([]scoredItem, 0, len(merged))
-	for it, m := range merged {
-		all = append(all, scoredItem{item: it, score: o.itemScore(sem, *m, len(members), totalW)})
-	}
-	n := selection.TopK(all, k, lessScored)
-	items := make([]dataset.ItemID, 0, k)
-	scores := make([]float64, 0, k)
-	for _, si := range all[:n] {
-		items = append(items, si.item)
-		scores = append(scores, si.score)
-	}
-	if len(items) < k {
-		imputed := o.missing
-		if sem == semantics.AV {
-			imputed = o.missing * totalW
-		}
-		cat, err := o.fullCatalog(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, id := range cat {
-			if len(items) >= k {
-				break
-			}
-			if _, rated := merged[id]; rated {
+	var stats []semantics.ItemStats
+	at := make(map[dataset.ItemID]int)
+	for _, r := range resps {
+		for _, st := range r.Stats {
+			if p, ok := at[st.Item]; ok {
+				stats[p].Merge(st)
 				continue
 			}
-			items = append(items, id)
-			scores = append(scores, imputed)
+			at[st.Item] = len(stats)
+			stats = append(stats, st)
 		}
 	}
+	var cat []dataset.ItemID
+	if len(stats) < k {
+		if cat, err = o.fullCatalog(ctx); err != nil {
+			return nil, nil, err
+		}
+	}
+	items, scores := semantics.TopKFromStats(sem, stats, len(members), float64(len(members)), o.missing, k, cat)
 	return items, scores, nil
 }
 

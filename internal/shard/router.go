@@ -189,11 +189,7 @@ func (rt *Router) routeForm(w http.ResponseWriter, r *http.Request) {
 		responding = append(responding, i)
 		contribs = append(contribs, resp.Bound)
 		users += resp.Users
-		bs := make([]core.ShardBucket, len(resp.Buckets))
-		for j, b := range resp.Buckets {
-			bs[j] = core.ShardBucket{Key: b.Key, Items: b.Items, Scores: b.Scores, Members: b.Members}
-		}
-		passes = append(passes, bs)
+		passes = append(passes, resp.Buckets)
 	}
 	if firstFault != nil && (!req.Anytime || len(responding) == 0) {
 		// Either nothing answered, or the client did not opt into

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -123,9 +124,8 @@ func singleNodeForm(t *testing.T, ds *dataset.Dataset, body string) []byte {
 }
 
 // TestRouterParity: the routed response is byte-identical to the
-// single-node response for every shard count, on both finalization
-// branches (heap pop for L < buckets, surplus split for L >=
-// buckets) and under both semantics — integer ratings make AV exact
+// single-node response for every shard count on the heap-pop branch
+// (L < buckets), under both semantics — integer ratings make AV exact
 // too.
 func TestRouterParity(t *testing.T) {
 	ds := routerTestDataset(t, 140, 30, 8)
@@ -135,8 +135,8 @@ func TestRouterParity(t *testing.T) {
 		`{"dataset":"ds","k":4,"l":6,"semantics":"av","agg":"sum"}`,
 		`{"dataset":"ds","k":4,"l":6,"semantics":"av","agg":"max"}`,
 		`{"dataset":"ds","k":3,"l":2,"semantics":"lm","agg":"min"}`,
-		// L large: drives the split branch with refolds and
-		// per-piece oracle probes.
+		// L=60 is still below this dataset's bucket count at K=4;
+		// the split branch is TestRouterParitySplitBranch's.
 		`{"dataset":"ds","k":4,"l":60,"semantics":"lm","agg":"sum"}`,
 		`{"dataset":"ds","k":4,"l":60,"semantics":"av","agg":"sum"}`,
 		// K near the catalog size: the merged remainder and short
@@ -147,6 +147,37 @@ func TestRouterParity(t *testing.T) {
 	for _, body := range cases {
 		want := singleNodeForm(t, ds, body)
 		for _, S := range []int{1, 2, 3, 7} {
+			tp := startTopology(t, ds, S, Config{}, nil)
+			st, got := postForm(t, tp.router.URL, body)
+			if st != http.StatusOK {
+				t.Fatalf("S=%d %s: status %d: %s", S, body, st, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("S=%d %s:\nrouter:      %s\nsingle node: %s", S, body, got, want)
+			}
+			tp.close()
+		}
+	}
+}
+
+// TestRouterParitySplitBranch: at K=1 this dataset has fewer buckets
+// than L=60 (and at K=2, fewer than L=130 under AV), so the plan
+// splits buckets into strict pieces and the gather oracle refolds
+// them through GroupScores — positional stats merges that the
+// TestRouterParity inputs never reach. Every semantics and
+// aggregation stays byte-identical to the single node.
+func TestRouterParitySplitBranch(t *testing.T) {
+	ds := routerTestDataset(t, 140, 30, 8)
+	var cases []string
+	for _, sem := range []string{"lm", "av"} {
+		for _, agg := range []string{"min", "max", "sum"} {
+			cases = append(cases, fmt.Sprintf(`{"dataset":"ds","k":1,"l":60,"semantics":%q,"agg":%q}`, sem, agg))
+		}
+	}
+	cases = append(cases, `{"dataset":"ds","k":2,"l":130,"semantics":"av","agg":"sum"}`)
+	for _, body := range cases {
+		want := singleNodeForm(t, ds, body)
+		for _, S := range []int{2, 3, 7} {
 			tp := startTopology(t, ds, S, Config{}, nil)
 			st, got := postForm(t, tp.router.URL, body)
 			if st != http.StatusOK {
