@@ -9,11 +9,15 @@
 //	benchjson -in bench.txt -out BENCH_4.json
 //	benchjson -compare bench/BENCH_3.json BENCH_4.json
 //
+// The JSON's meta adds nproc, the converting host's runtime.NumCPU, to
+// the preamble's goos, goarch, pkg and cpu.
+//
 // In -compare mode the two positional arguments are the committed
 // baseline and the fresh run; the exit status is 1 when any benchmark
 // present in both regresses by more than -ns-threshold in ns/op
-// (default 15%) or by any amount in allocs/op (allocation counts are
-// deterministic, so the budget is zero).
+// (default 15%) or by more than max(1, old/1000) in allocs/op (exact
+// for a zero-alloc baseline). A line before the table notes when the
+// two reports' cpu or nproc differ, as ns/op then measures the host too.
 package main
 
 import (
@@ -23,6 +27,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"strconv"
 
 	"groupform/internal/benchparse"
 )
@@ -72,6 +78,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if len(rep.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines found")
 	}
+	if rep.Meta == nil {
+		rep.Meta = make(map[string]string)
+	}
+	rep.Meta["nproc"] = strconv.Itoa(runtime.NumCPU())
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -98,6 +108,10 @@ func runCompare(oldPath, newPath string, nsThreshold float64, stdout io.Writer) 
 	c := benchparse.Compare(oldRep, newRep, nsThreshold)
 	if len(c.Deltas) == 0 {
 		return fmt.Errorf("no common benchmarks between %s and %s", oldPath, newPath)
+	}
+	if o, n := oldRep.Meta, newRep.Meta; o["cpu"] != n["cpu"] || o["nproc"] != n["nproc"] {
+		fmt.Fprintf(stdout, "HOST DIFFERS: cpu %q -> %q, nproc %q -> %q; ns/op deltas include the host change\n",
+			o["cpu"], n["cpu"], o["nproc"], n["nproc"])
 	}
 	c.WriteText(stdout)
 	if regs := c.Regressions(); len(regs) > 0 {

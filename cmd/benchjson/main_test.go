@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -117,5 +119,75 @@ func TestCompareModeRegression(t *testing.T) {
 func TestCompareModeUsage(t *testing.T) {
 	if err := run([]string{"-compare", "only-one.json"}, nil, &bytes.Buffer{}); err == nil {
 		t.Fatal("one argument must be a usage error")
+	}
+}
+
+// TestRunRecordsNproc: the converted report's meta carries the host's
+// CPU count beside the preamble's cpu line.
+func TestRunRecordsNproc(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(nil, strings.NewReader("cpu: Test CPU\n"+sample), &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep benchparse.Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rep.Meta["nproc"], strconv.Itoa(runtime.NumCPU()); got != want {
+		t.Fatalf("meta nproc = %q, want %q", got, want)
+	}
+	if rep.Meta["cpu"] != "Test CPU" {
+		t.Fatalf("meta cpu = %q, want the preamble's", rep.Meta["cpu"])
+	}
+}
+
+// TestCompareModeHostLine: -compare prints one host line exactly when
+// the reports' cpu or nproc differ, and the line never changes the
+// verdict.
+func TestCompareModeHostLine(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, cpu, nproc string, ns float64) string {
+		rep := benchparse.Report{
+			Meta:       map[string]string{"cpu": cpu, "nproc": nproc},
+			Benchmarks: []benchparse.Benchmark{{Name: "BenchmarkGRD/LM-MIN", Procs: 1, Iterations: 5, NsPerOp: ns, AllocsPerOp: 2}},
+		}
+		if nproc == "" {
+			delete(rep.Meta, "nproc")
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base", "CPU A", "2", 1200)
+	for _, tc := range []struct {
+		name, cpu, nproc string
+		ns               float64
+		wantLine, wantOK bool
+	}{
+		{"same host", "CPU A", "2", 1200, false, true},
+		{"other cpu", "CPU B", "2", 1200, true, true},
+		{"other nproc", "CPU A", "4", 1200, true, true},
+		{"unrecorded nproc", "CPU A", "", 1200, true, true},
+		{"same host regressed", "CPU A", "2", 2400, false, false},
+		{"other host regressed", "CPU B", "1", 2400, true, false},
+	} {
+		var out bytes.Buffer
+		err := run([]string{"-compare", base, write(tc.name, tc.cpu, tc.nproc, tc.ns)}, nil, &out)
+		want := 0
+		if tc.wantLine {
+			want = 1
+		}
+		if got := strings.Count(out.String(), "HOST DIFFERS"); got != want {
+			t.Errorf("%s: %d host lines, want %d\n%s", tc.name, got, want, out.String())
+		}
+		if (err == nil) != tc.wantOK {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.wantOK)
+		}
 	}
 }

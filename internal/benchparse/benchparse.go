@@ -41,7 +41,7 @@ type Benchmark struct {
 // Report is a full parsed benchmark run.
 type Report struct {
 	// Meta carries the preamble key/value lines (goos, goarch, pkg,
-	// cpu).
+	// cpu); cmd/benchjson adds nproc, the converting host's CPU count.
 	Meta map[string]string `json:"meta,omitempty"`
 	// Benchmarks lists results in input order.
 	Benchmarks []Benchmark `json:"benchmarks"`

@@ -6,9 +6,10 @@ import (
 	"sort"
 )
 
-// Regression thresholds of Compare. Allocation counts are
-// deterministic, so any increase is a regression; wall time carries
-// machine noise, so it gets a relative band.
+// DefaultNsThreshold is Compare's default relative ns/op band: wall
+// time carries machine noise. Allocation counts get a small absolute
+// slack instead, max(1, old/1000) and exact for a zero-alloc baseline
+// (see allocsSlack).
 const DefaultNsThreshold = 0.15
 
 // Delta is one benchmark's old-vs-new comparison.

@@ -101,12 +101,6 @@ type Config struct {
 	// last ulp — see semantics.Scorer.Workers and
 	// docs/ARCHITECTURE.md for the full determinism argument).
 	Workers int
-
-	// accum selects the semantics accumulation backend. The zero
-	// value is the dense index-space path production always runs;
-	// the golden parity test sets AccumMap on its own Config copies
-	// to pin the two backends against each other.
-	accum semantics.Accum
 }
 
 // EffectiveWorkers resolves Workers to an effective pool size (>= 1):
@@ -173,7 +167,7 @@ func (c Config) validateParams() error {
 // framework cannot avoid — parallelizes with the rest of the
 // pipeline.
 func (c Config) scorer(ds *dataset.Dataset) semantics.Scorer {
-	return semantics.Scorer{DS: ds, Missing: c.Missing, Weights: c.UserWeights, Workers: c.EffectiveWorkers(), Accum: c.accum}
+	return semantics.Scorer{DS: ds, Missing: c.Missing, Weights: c.UserWeights, Workers: c.EffectiveWorkers()}
 }
 
 // weight returns u's AV weight under this configuration.
@@ -599,7 +593,8 @@ type localOracle struct {
 
 // GroupScores rescores items over members in index space: both resolve
 // to dense indices once, and every probe after that is a binary search
-// over a CSR row (semantics.Scorer.ItemScoreIdx).
+// over a CSR row (semantics.Scorer.ItemScoreIdx, which scores through
+// the same ItemStats formula as the router's gather oracle).
 //
 //gfvet:zeroalloc
 func (o *localOracle) GroupScores(_ context.Context, sem semantics.Semantics, members []dataset.UserID, items []dataset.ItemID) ([]float64, error) {

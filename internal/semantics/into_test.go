@@ -9,9 +9,9 @@ import (
 )
 
 // TestTopKIntoMatchesTopK pins the Into variant against the
-// allocating wrapper across both accumulation backends and both
-// semantics, with one scratch reused (dirty) across every call, and
-// checks the returned slices really alias the scratch's buffers.
+// allocating wrapper across both semantics, with one scratch reused
+// (dirty) across every call, and checks the returned slices really
+// alias the scratch's buffers.
 func TestTopKIntoMatchesTopK(t *testing.T) {
 	ds, err := synth.YahooLike(400, 60, 7)
 	if err != nil {
@@ -19,32 +19,29 @@ func TestTopKIntoMatchesTopK(t *testing.T) {
 	}
 	users := ds.Users()
 	s := new(TopKScratch)
-	for _, accum := range []Accum{AccumDense, AccumMap} {
-		sc := Scorer{DS: ds, Missing: 0, Accum: accum}
-		for _, sem := range []Semantics{LM, AV} {
-			for _, size := range []int{1, 3, 50} {
-				members := users[:size]
-				for _, k := range []int{1, 5, ds.NumItems()} {
-					wantItems, wantScores, err := sc.TopK(sem, members, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotItems, gotScores, err := sc.TopKInto(sem, members, k, s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(gotItems, wantItems) || !reflect.DeepEqual(gotScores, wantScores) {
-						t.Fatalf("%v/%v/size=%d/k=%d: TopKInto differs from TopK", accum, sem, size, k)
-					}
-					if len(gotItems) > 0 && (&gotItems[0] != &s.items[0] || &gotScores[0] != &s.scores[0]) {
-						t.Fatalf("%v/%v/size=%d/k=%d: TopKInto results do not alias the scratch", accum, sem, size, k)
-					}
+	sc := Scorer{DS: ds}
+	for _, sem := range []Semantics{LM, AV} {
+		for _, size := range []int{1, 3, 50} {
+			members := users[:size]
+			for _, k := range []int{1, 5, ds.NumItems()} {
+				wantItems, wantScores, err := sc.TopK(sem, members, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotItems, gotScores, err := sc.TopKInto(sem, members, k, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotItems, wantItems) || !reflect.DeepEqual(gotScores, wantScores) {
+					t.Fatalf("%v/size=%d/k=%d: TopKInto differs from TopK", sem, size, k)
+				}
+				if len(gotItems) > 0 && (&gotItems[0] != &s.items[0] || &gotScores[0] != &s.scores[0]) {
+					t.Fatalf("%v/size=%d/k=%d: TopKInto results do not alias the scratch", sem, size, k)
 				}
 			}
 		}
 	}
 	// Error paths must not corrupt the scratch.
-	sc := Scorer{DS: ds}
 	if _, _, err := sc.TopKInto(LM, users[:1], 0, s); err == nil {
 		t.Fatal("k=0 must error")
 	}

@@ -7,20 +7,10 @@
 // are merged in chunk order; see Scorer.Workers for the determinism
 // contract.
 //
-// Two backends execute the same fold:
-//
-//   - The dense index-space backend (default, AccumDense): pooled
-//     flat arrays keyed by dataset.ItemIdx, fed directly from CSR
-//     rows. No hashing, no per-item pointer chasing; the touched list
-//     keeps reset cost proportional to the candidate count, not the
-//     catalog size.
-//   - The legacy map backend (AccumMap): map[ItemID]*acc, retained as
-//     the reference implementation the dense path is parity-tested
-//     against.
-//
-// Per-item arithmetic is literally the same operation sequence in
-// both (seed on first touch, fold afterwards, chunk-ordered merges),
-// so their outputs are bit-identical.
+// The accumulator is index-space: flat arrays keyed by
+// dataset.ItemIdx, fed directly from CSR rows. No hashing, no per-item
+// pointer chasing; the touched list keeps reset cost proportional to
+// the candidate count, not the catalog size.
 package semantics
 
 import (
@@ -37,49 +27,6 @@ import (
 // on the serial path.
 const topkChunk = 1024
 
-// acc accumulates one candidate item across the members seen so far.
-type acc struct {
-	min     float64
-	wsum    float64
-	count   int
-	wraters float64
-}
-
-// accMapPool recycles chunk-partial maps across parallel TopK calls
-// — the reusable scorer cache. Within one call every chunk draws its
-// own map (all Gets precede the Puts), so the win is across calls:
-// repeated formation runs — benchmark iterations, experiment sweeps,
-// a server forming groups per request — reuse the previous run's
-// grown maps instead of rebuilding them. Only maps whose *acc values
-// were merged away are returned (cleared, capacity retained); the
-// map adopted as the result never is.
-var accMapPool = sync.Pool{
-	New: func() any { return make(map[dataset.ItemID]*acc) },
-}
-
-// accumulateInto folds the members' ratings into cand in member
-// order: first rating of an item seeds the accumulator, later ratings
-// fold min/sum/count. This is the single reference fold both the
-// serial and the parallel paths execute.
-func (sc Scorer) accumulateInto(cand map[dataset.ItemID]*acc, members []dataset.UserID) {
-	for _, u := range members {
-		w := sc.Weight(u)
-		for _, e := range sc.DS.UserRatings(u) {
-			a, ok := cand[e.Item]
-			if !ok {
-				cand[e.Item] = &acc{min: e.Value, wsum: w * e.Value, count: 1, wraters: w}
-				continue
-			}
-			if e.Value < a.min {
-				a.min = e.Value
-			}
-			a.wsum += w * e.Value
-			a.count++
-			a.wraters += w
-		}
-	}
-}
-
 // denseAcc is the index-space accumulator: one slot per ItemIdx in
 // four parallel flat arrays, plus the first-touch order of the slots
 // actually used. count[j] == 0 marks an untouched slot, so only
@@ -93,18 +40,10 @@ type denseAcc struct {
 	touched []dataset.ItemIdx
 }
 
-// denseAccPool recycles accumulators across TopK calls — the dense
-// counterpart of accMapPool, and the reason repeated formation runs
-// (benchmark iterations, experiment sweeps, a serving process) pay no
-// per-call array allocation once warm.
+// denseAccPool recycles the parallel path's chunk partials across
+// TopK calls, so repeated formation runs pay no per-call array
+// allocation once warm; the serial path uses TopKScratch's lease.
 var denseAccPool = sync.Pool{New: func() any { return new(denseAcc) }}
-
-// acquireDense returns a cleared accumulator with at least m slots.
-func acquireDense(m int) *denseAcc {
-	da := denseAccPool.Get().(*denseAcc)
-	da.ensure(m)
-	return da
-}
 
 // ensure sizes the accumulator for m slots, growing the arrays only
 // when a larger catalog than ever before comes through.
@@ -122,9 +61,9 @@ func (da *denseAcc) ensure(m int) {
 }
 
 // clear resets the touched slots, restoring the all-zero-counts
-// invariant ensure/acquireDense rely on. Every count mutation goes
-// through the touched list (including the listed-marker trick in
-// PseudoUserTopK), so this is complete.
+// invariant ensure relies on. A count leaves zero only on a slot's
+// first touch, which also appends the slot to the touched list, so
+// this is complete.
 func (da *denseAcc) clear() {
 	for _, j := range da.touched {
 		da.count[j] = 0
@@ -146,10 +85,9 @@ func (da *denseAcc) stats(ds *dataset.Dataset, j dataset.ItemIdx) ItemStats {
 }
 
 // accumulateIdx folds the members' ratings into da in member order,
-// reading CSR rows by index. Per item this executes exactly the
-// seed/fold sequence of accumulateInto, so the two backends agree
-// bit-for-bit; members unknown to the dataset contribute nothing,
-// like their nil UserRatings row always did.
+// reading CSR rows by index: an item's first rating seeds its slot,
+// later ones fold into it. Members unknown to the dataset contribute
+// nothing.
 func (sc Scorer) accumulateIdx(da *denseAcc, members []dataset.UserID) {
 	ds := sc.DS
 	for _, u := range members {
@@ -176,16 +114,18 @@ func (sc Scorer) accumulateIdx(da *denseAcc, members []dataset.UserID) {
 	}
 }
 
-// accumulateIdxParallel is accumulateIdx fanned out on the same fixed
-// topkChunk grid as the map backend, with chunk partials merged in
-// chunk order (adopt chunk 0, fold later chunks element-wise — the
-// identical merge arithmetic, so the determinism contract of
-// Scorer.Workers carries over unchanged).
+// accumulateIdxParallel is accumulateIdx fanned out on the fixed
+// topkChunk grid, with chunk partials merged in chunk order: adopt
+// chunk 0, fold later chunks slot by slot, keeping the earlier min on
+// ties. LM is therefore bit-exact against the serial fold; the AV sums
+// reassociate, which is exact for exactly representable weighted
+// ratings and deterministic for every worker count regardless.
 func (sc Scorer) accumulateIdxParallel(members []dataset.UserID, m int) *denseAcc {
 	chunks := par.Chunks(len(members), topkChunk)
 	partials := make([]*denseAcc, len(chunks))
 	par.Do(len(chunks), sc.Workers, func(c int) {
-		da := acquireDense(m)
+		da := denseAccPool.Get().(*denseAcc)
+		da.ensure(m)
 		sc.accumulateIdx(da, members[chunks[c][0]:chunks[c][1]])
 		partials[c] = da
 	})
@@ -205,42 +145,6 @@ func (sc Scorer) accumulateIdxParallel(members []dataset.UserID, m int) *denseAc
 			}
 		}
 		da.release()
-	}
-	return out
-}
-
-// accumulateParallel runs the reference fold per fixed-size chunk of
-// members concurrently, then left-folds the chunk partials in chunk
-// order. The min merge keeps the earlier chunk's value on ties,
-// matching the serial fold's keep-first behavior exactly; count is
-// integer-exact; the AV sums reassociate (chunk-tree instead of flat
-// left fold), which is bit-exact for exactly-representable weighted
-// ratings and deterministic for every worker count regardless.
-func (sc Scorer) accumulateParallel(members []dataset.UserID) map[dataset.ItemID]*acc {
-	chunks := par.Chunks(len(members), topkChunk)
-	partials := make([]map[dataset.ItemID]*acc, len(chunks))
-	par.Do(len(chunks), sc.Workers, func(c int) {
-		m := accMapPool.Get().(map[dataset.ItemID]*acc)
-		sc.accumulateInto(m, members[chunks[c][0]:chunks[c][1]])
-		partials[c] = m
-	})
-	out := partials[0]
-	for _, m := range partials[1:] {
-		for it, a := range m {
-			b, ok := out[it]
-			if !ok {
-				out[it] = a
-				continue
-			}
-			if a.min < b.min {
-				b.min = a.min
-			}
-			b.wsum += a.wsum
-			b.count += a.count
-			b.wraters += a.wraters
-		}
-		clear(m)
-		accMapPool.Put(m)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package semantics
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"groupform/internal/dataset"
@@ -77,37 +78,44 @@ func TestTopKParallelSmallGroupStaysSerial(t *testing.T) {
 	}
 }
 
-// TestAccumulateParallelMergeOrder pins the keep-first tie-break of
-// the chunk merge: the min of a tied score must come from the
-// earliest member, exactly like the serial fold.
+// TestAccumulateParallelMergeOrder pins the chunk merge against the
+// serial fold: every touched slot's stats — the min's keep-first
+// tie-break included — and the first-touch order of the touched list
+// must come out of accumulateIdxParallel exactly as accumulateIdx
+// leaves them. Quarter-step weights keep the weighted sums exact, so
+// the AV fields compare bitwise too.
 func TestAccumulateParallelMergeOrder(t *testing.T) {
-	// Every user rates item 0 with the same value; min and count must
-	// match the serial accumulation bit for bit.
+	// Every user rates item 0 with the same value, and one of seven
+	// other items with a value that varies across the chunks.
 	n := 2*topkChunk + 50
 	perUser := make(map[dataset.UserID][]dataset.Entry, n)
+	weights := make(map[dataset.UserID]float64, n)
 	for u := 0; u < n; u++ {
-		perUser[dataset.UserID(u)] = []dataset.Entry{{Item: 0, Value: 3}, {Item: dataset.ItemID(1 + u%7), Value: 4}}
+		perUser[dataset.UserID(u)] = []dataset.Entry{{Item: 0, Value: 3}, {Item: dataset.ItemID(1 + u%7), Value: float64(1 + (u/5)%5)}}
+		weights[dataset.UserID(u)] = 0.25 * float64(1+u%3)
 	}
 	ds, err := dataset.FromUserEntries(dataset.DefaultScale, perUser)
 	if err != nil {
 		t.Fatal(err)
 	}
-	members := ds.Users()
-	serialCand := make(map[dataset.ItemID]*acc)
-	sc := Scorer{DS: ds}
-	sc.accumulateInto(serialCand, members)
-	scp := Scorer{DS: ds, Workers: 4}
-	parCand := scp.accumulateParallel(members)
-	if len(parCand) != len(serialCand) {
-		t.Fatalf("parallel accumulated %d items, serial %d", len(parCand), len(serialCand))
+	// A reversed member list, so the serial first-touch order is not
+	// simply ascending item order.
+	members := slices.Clone(ds.Users())
+	slices.Reverse(members)
+	m := ds.NumItems()
+	sc := Scorer{DS: ds, Weights: weights}
+	serial := new(denseAcc)
+	serial.ensure(m)
+	sc.accumulateIdx(serial, members)
+	sc.Workers = 4
+	merged := sc.accumulateIdxParallel(members, m)
+	defer merged.release()
+	if !slices.Equal(merged.touched, serial.touched) {
+		t.Fatalf("touched order: parallel %v, serial %v", merged.touched, serial.touched)
 	}
-	for it, want := range serialCand {
-		got, ok := parCand[it]
-		if !ok {
-			t.Fatalf("item %d missing from parallel accumulation", it)
-		}
-		if *got != *want {
-			t.Fatalf("item %d: parallel acc %+v, serial %+v", it, *got, *want)
+	for _, j := range serial.touched {
+		if got, want := merged.stats(ds, j), serial.stats(ds, j); got != want {
+			t.Fatalf("slot %d: parallel %+v, serial %+v", j, got, want)
 		}
 	}
 }

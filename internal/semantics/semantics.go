@@ -125,20 +125,6 @@ func (a Aggregation) Aggregate(scores []float64) float64 {
 	return 0
 }
 
-// Accum selects the accumulation backend Scorer.TopK uses; see the
-// file comment in parallel.go. The zero value is the dense
-// index-space backend.
-type Accum int
-
-const (
-	// AccumDense accumulates into pooled flat arrays keyed by
-	// dataset.ItemIdx — the default, map-free hot path.
-	AccumDense Accum = iota
-	// AccumMap accumulates into map[ItemID]*acc — the legacy backend,
-	// retained as the reference implementation for parity tests.
-	AccumMap
-)
-
 // Scorer evaluates group scores over a dataset. Missing is the value
 // imputed for an unrated (user, item) pair; the paper assumes a
 // complete matrix (observed or predicted), so Missing only matters on
@@ -148,10 +134,6 @@ const (
 type Scorer struct {
 	DS      *dataset.Dataset
 	Missing float64
-	// Accum selects the candidate-accumulation backend for TopK; the
-	// zero value is the dense index-space path. Both backends produce
-	// bit-identical lists; AccumMap exists for parity testing.
-	Accum Accum
 	// Weights optionally assigns per-user importance under AV
 	// semantics (the paper's "forming groups where the individual
 	// members are not treated equally" future-work direction): the
@@ -220,38 +202,38 @@ func (sc Scorer) ItemScore(sem Semantics, members []dataset.UserID, item dataset
 	panic(fmt.Sprintf("semantics: invalid semantics %d", int(sem)))
 }
 
-// ItemScoreIdx is ItemScore in index space: members and the item are
-// dense indices into sc.DS, skipping every ID lookup. Members who did
-// not rate the item contribute Missing, exactly like ItemScore.
+// ItemScoreIdx is the group score of one item in index space: members
+// and the item are dense indices into sc.DS, skipping every ID lookup.
+// The members' ratings fold into one ItemStats record in
+// accumulateIdx's seed/fold order and the record's Score is returned,
+// so a refold probe scores an item with the formula topKDense and the
+// router's merged stats use. Members who did not rate the item
+// contribute Missing, as in ItemScore.
 func (sc Scorer) ItemScoreIdx(sem Semantics, members []dataset.UserIdx, item dataset.ItemIdx) float64 {
-	switch sem {
-	case LM:
-		lo := math.Inf(1)
-		for _, r := range members {
-			v, ok := sc.DS.RatingIdx(r, item)
-			if !ok {
-				v = sc.Missing
-			}
-			if v < lo {
-				lo = v
-			}
+	var st ItemStats
+	totalW := 0.0
+	for _, r := range members {
+		w := 1.0
+		if sem == AV {
+			w = sc.Weight(sc.DS.UserAt(r))
+			totalW += w
 		}
-		if math.IsInf(lo, 1) {
-			return sc.Missing
+		v, ok := sc.DS.RatingIdx(r, item)
+		if !ok {
+			continue
 		}
-		return lo
-	case AV:
-		s := 0.0
-		for _, r := range members {
-			v, ok := sc.DS.RatingIdx(r, item)
-			if !ok {
-				v = sc.Missing
+		if st.Count == 0 {
+			st.Min, st.WSum, st.WRaters = v, w*v, w
+		} else {
+			if v < st.Min {
+				st.Min = v
 			}
-			s += sc.Weight(sc.DS.UserAt(r)) * v
+			st.WSum += w * v
+			st.WRaters += w
 		}
-		return s
+		st.Count++
 	}
-	panic(fmt.Sprintf("semantics: invalid semantics %d", int(sem)))
+	return st.Score(sem, len(members), totalW, sc.Missing)
 }
 
 // TopKScratch holds the reusable buffers of a TopKInto call: the
@@ -264,8 +246,8 @@ type TopKScratch struct {
 	cand   []scoredItem
 	items  []dataset.ItemID
 	scores []float64
-	// da is the scratch's leased dense accumulator: the serial dense
-	// backend accumulates here instead of borrowing from the shared
+	// da is the scratch's leased dense accumulator: the serial path
+	// accumulates here instead of borrowing from the shared
 	// sync.Pool, so a caller-owned scratch keeps the steady state
 	// allocation-free even across GC cycles (pools may be emptied;
 	// leases are not).
@@ -293,13 +275,11 @@ func (s *TopKScratch) candidates(n int) []scoredItem {
 	return s.cand[:0]
 }
 
-// finish is the backend-shared tail of a TopKInto: store the populated
+// finish is the selection tail of topKDense: store the populated
 // candidate buffer back, cut it to the best k, and rebuild the output
-// arrays from the survivors. The returned slices still need
-// backend-specific padding when fewer than k candidates existed; the
-// caller stores them back into the scratch once padded. Both
-// accumulation backends must run literally this code so their outputs
-// stay bit-identical.
+// arrays from the survivors. The returned slices still need padding
+// when fewer than k candidates existed; the caller stores them back
+// into the scratch once padded.
 func (s *TopKScratch) finish(all []scoredItem, k int) ([]dataset.ItemID, []float64) {
 	s.cand = all
 	if cap(s.items) < k {
@@ -359,10 +339,6 @@ func (sc Scorer) TopKInto(sem Semantics, members []dataset.UserID, k int, s *Top
 	for _, u := range members {
 		totalW += sc.Weight(u)
 	}
-	if sc.Accum == AccumMap {
-		items, scores := sc.topKMap(sem, members, k, totalW, s)
-		return items, scores, nil
-	}
 	items, scores := sc.topKDense(sem, members, k, totalW, s)
 	return items, scores, nil
 }
@@ -412,11 +388,12 @@ func imputed(sem Semantics, totalW, missing float64) float64 {
 	return missing
 }
 
-// topKDense is the index-space TopK backend: candidates accumulate in
-// pooled dense arrays, each touched slot is scored as an ItemStats
-// record (the shards' and the router's kernel), and padding reads the
-// untouched-slot markers directly — no map from the first rating probe
-// to the returned list.
+// topKDense is TopKInto's index-space body: candidates accumulate in
+// dense arrays (the scratch's leased accumulator, or pooled chunk
+// partials on the parallel path), each touched slot is scored as an
+// ItemStats record (the shards' and the router's kernel), and padding
+// reads the untouched-slot markers directly — no map from the first
+// rating probe to the returned list.
 //
 //gfvet:zeroalloc
 func (sc Scorer) topKDense(sem Semantics, members []dataset.UserID, k int, totalW float64, s *TopKScratch) ([]dataset.ItemID, []float64) {
@@ -450,52 +427,6 @@ func (sc Scorer) topKDense(sem Semantics, members []dataset.UserID, k int, total
 		da.clear()
 	} else {
 		da.release()
-	}
-	s.items, s.scores = items, scores
-	return items, scores
-}
-
-// topKMap is the legacy map-accumulation backend, kept bit-compatible
-// with topKDense as the parity reference.
-//
-//gfvet:zeroalloc
-func (sc Scorer) topKMap(sem Semantics, members []dataset.UserID, k int, totalW float64, s *TopKScratch) ([]dataset.ItemID, []float64) {
-	var cand map[dataset.ItemID]*acc
-	if sc.Workers >= 2 && len(members) > topkChunk {
-		cand = sc.accumulateParallel(members)
-	} else {
-		cand = make(map[dataset.ItemID]*acc)
-		sc.accumulateInto(cand, members)
-	}
-	all := s.candidates(len(cand))
-	for it, a := range cand {
-		var score float64
-		switch sem {
-		case LM:
-			score = a.min
-			if a.count < len(members) && sc.Missing < score {
-				score = sc.Missing
-			}
-		case AV:
-			score = a.wsum + (totalW-a.wraters)*sc.Missing
-		}
-		all = append(all, scoredItem{it, score})
-	}
-	items, scores := s.finish(all, k)
-	if len(items) < k {
-		imputed := sc.Missing
-		if sem == AV {
-			imputed = sc.Missing * totalW
-		}
-		for _, it := range sc.DS.Items() {
-			if len(items) == k {
-				break
-			}
-			if cand[it] == nil {
-				items = append(items, it)
-				scores = append(scores, imputed)
-			}
-		}
 	}
 	s.items, s.scores = items, scores
 	return items, scores

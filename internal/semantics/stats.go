@@ -8,9 +8,9 @@ import (
 // ItemStats is one item's partial score accumulation over a subset of
 // a group's members — the record a shard ships to the router so the
 // group score over the full membership can be reassembled without
-// moving ratings, and the record topKDense scores its own accumulator
-// slots through. Both semantics decompose over a member partition:
-// Merge folds the parts, Score finishes the whole.
+// moving ratings, and the record topKDense and ItemScoreIdx score
+// their own folds through. Both semantics decompose over a member
+// partition: Merge folds the parts, Score finishes the whole.
 //
 //	LM: score = min over the parts' minima, dropped to Missing when
 //	    the summed rater count falls short of the full membership — an

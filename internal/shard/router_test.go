@@ -191,6 +191,47 @@ func TestRouterParitySplitBranch(t *testing.T) {
 	}
 }
 
+// TestRouterParityRefoldMissing: a refold piece scores its listed
+// items through ItemScoreIdx on the single node and through merged
+// GroupStatsFor records on the router; both must use one formula,
+// WSum + (totalW − WRaters)·Missing. Each taste group's users rank
+// their two items alike, so there are 3 buckets and every L here
+// takes the split branch. Every user rates only 2 of the catalog's 6
+// items, so every piece has members who did not rate a listed item
+// (k >= 3), and a missing of 0.1 or 0.3 — not exactly
+// representable — makes a member-by-member sum of Missing terms
+// differ from that formula in the last bits. One shard keeps the
+// router's stats fold in member order, so the bodies must match
+// byte for byte; at S >= 2 the shard partials reassociate those terms
+// (the bounded-error AV caveat).
+func TestRouterParityRefoldMissing(t *testing.T) {
+	b := dataset.NewBuilder(dataset.DefaultScale)
+	for u := 0; u < 300; u++ {
+		taste := u % 3
+		b.MustAdd(dataset.UserID(u), dataset.ItemID(2*taste), float64(3+(u/3)%3))
+		b.MustAdd(dataset.UserID(u), dataset.ItemID(2*taste+1), float64(1+(u/7)%2))
+	}
+	ds := b.Build()
+	tp := startTopology(t, ds, 1, Config{}, nil)
+	for _, agg := range []string{"min", "max", "sum"} {
+		for _, k := range []int{3, 4} {
+			for _, l := range []int{4, 6, 9} {
+				for _, missing := range []float64{0.1, 0.3} {
+					body := fmt.Sprintf(`{"dataset":"ds","k":%d,"l":%d,"semantics":"av","agg":%q,"missing":%v}`, k, l, agg, missing)
+					want := singleNodeForm(t, ds, body)
+					st, got := postForm(t, tp.router.URL, body)
+					if st != http.StatusOK {
+						t.Fatalf("%s: status %d: %s", body, st, got)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s:\nrouter:      %s\nsingle node: %s", body, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRouterParityArrivalOrder: shard responses arriving in reverse
 // (and scrambled) order produce byte-identical output — the merge is
 // ordered by shard index, not by arrival.
