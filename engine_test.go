@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -265,6 +266,101 @@ func TestEngineFormIntoMatchesForm(t *testing.T) {
 	}
 	if _, err := eng.FormInto(ctx, Config{K: 3, L: 3, Semantics: LM, Aggregation: Min}, nil); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("FormInto(nil scratch): err = %v, want ErrBadConfig", err)
+	}
+}
+
+// TestFormResultIsCallerOwned: a Result from Engine.Form or the
+// one-shot grd solver shares no memory with the preference cache, the
+// pooled scratch or a later run. Every Members/Items/ItemScores slice
+// of a first result is overwritten; later Forms with the same and with
+// another config on this goroutine (the pool hands back the same
+// scratch) and a FormInto must still answer the saved copies, and a
+// second, untouched result must survive those runs unchanged.
+func TestFormResultIsCallerOwned(t *testing.T) {
+	ctx := context.Background()
+	ds := solverTestDataset(t)
+	eng, err := NewEngine(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forms := []struct {
+		name string
+		form func(Config) (*Result, error)
+	}{
+		{"Engine.Form", func(cfg Config) (*Result, error) { return eng.Form(ctx, cfg) }},
+		{"grd", func(cfg Config) (*Result, error) { return solveOnce("grd", ds, cfg) }},
+	}
+	s := NewScratch()
+	for _, f := range forms {
+		for _, sem := range []Semantics{LM, AV} {
+			for _, agg := range []Aggregation{Max, Min, Sum} {
+				for _, l := range []int{3, 1000} { // heap branch and split branch
+					cfg := Config{K: 3, L: l, Semantics: sem, Aggregation: agg}
+					other := Config{K: 3, L: 5, Semantics: sem, Aggregation: Min}
+					name := fmt.Sprintf("%s %v-%v L=%d", f.name, sem, agg, l)
+					wantOther, err := f.form(other)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantOther = copyResult(wantOther)
+					first, err := f.form(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := copyResult(first)
+					scribble(first)
+					second, err := f.form(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(second, want) {
+						t.Fatalf("%s: overwriting a result changed the next answer", name)
+					}
+					kept := copyResult(second)
+					if got, err := f.form(other); err != nil || !reflect.DeepEqual(got, wantOther) {
+						t.Fatalf("%s: answer for another config changed (err %v)", name, err)
+					}
+					if got, err := eng.FormInto(ctx, cfg, s); err != nil || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: FormInto after an overwritten result differs (err %v)", name, err)
+					}
+					if !reflect.DeepEqual(second, kept) {
+						t.Fatalf("%s: a returned result changed under later runs", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// copyResult deep-copies r's slices (nil stays nil).
+func copyResult(r *Result) *Result {
+	out := *r
+	out.Groups = make([]Group, len(r.Groups))
+	for i, g := range r.Groups {
+		g.Members = slices.Clone(g.Members)
+		g.Items = slices.Clone(g.Items)
+		g.ItemScores = slices.Clone(g.ItemScores)
+		out.Groups[i] = g
+	}
+	if r.Partial != nil {
+		p := *r.Partial
+		out.Partial = &p
+	}
+	return &out
+}
+
+// scribble overwrites every element of r's group slices.
+func scribble(r *Result) {
+	for _, g := range r.Groups {
+		for i := range g.Members {
+			g.Members[i] = -1
+		}
+		for i := range g.Items {
+			g.Items[i] = -1
+		}
+		for i := range g.ItemScores {
+			g.ItemScores[i] = -1
+		}
 	}
 }
 

@@ -16,8 +16,8 @@
 //     LM-SUM: sequence + all k scores;
 //     AV-*:   sequence only (Section 5: grouping on scores "is not a
 //     useful operation for AV semantics").
-//  3. Pop the l-1 best buckets from a max-heap ordered by the
-//     bucket's group satisfaction.
+//  3. Select the l-1 best buckets by the bucket's group satisfaction
+//     (internal/selection's k-bounded kernel).
 //  4. Merge every remaining user into the l-th group and compute its
 //     top-k list from scratch under the semantics.
 //
@@ -30,13 +30,12 @@
 // absolute error to rmax (Min/Max) or k*rmax (Sum) under LM
 // (Theorems 2 and 3).
 //
-// Heap ties are broken deterministically — higher satisfaction, then
+// Ties are broken deterministically — higher satisfaction, then
 // larger bucket, then lexicographically smaller key — which
 // reproduces the paper's worked Examples 1, 2 and 5 exactly.
 package core
 
 import (
-	"container/heap"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -49,6 +48,7 @@ import (
 	"groupform/internal/gferr"
 	"groupform/internal/par"
 	"groupform/internal/rank"
+	"groupform/internal/selection"
 	"groupform/internal/semantics"
 )
 
@@ -64,11 +64,12 @@ type Config struct {
 	// list (Max, Min, Sum, or a weighted variant).
 	Aggregation semantics.Aggregation
 	// Missing is the score imputed for unrated (user, item) pairs;
-	// see semantics.Scorer. Zero is the conservative default.
+	// see semantics.Scorer. It must be finite; zero is the
+	// conservative default.
 	Missing float64
 	// UserWeights optionally weights users under AV semantics
 	// (Section 9's "members are not treated equally" direction); nil
-	// or missing entries mean weight 1. Weights must be
+	// or missing entries mean weight 1. Weights must be finite and
 	// non-negative. LM is unaffected by weights.
 	UserWeights map[dataset.UserID]float64
 	// Anytime opts into graceful degradation: when the context expires
@@ -147,12 +148,15 @@ func (c Config) validateParams() error {
 	if !c.Aggregation.Valid() {
 		return gferr.BadConfigf("core: Aggregation %d is unknown", int(c.Aggregation))
 	}
+	if math.IsNaN(c.Missing) || math.IsInf(c.Missing, 0) {
+		return gferr.BadConfigf("core: Missing must be finite, got %v", c.Missing)
+	}
 	for u, w := range c.UserWeights {
-		if w < 0 {
-			return gferr.BadConfigf("core: UserWeights[%d] is negative (%v)", u, w)
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return gferr.BadConfigf("core: UserWeights[%d] must be finite and non-negative, got %v", u, w)
 		}
 	}
-	if c.QualityTarget < 0 || c.QualityTarget > 1 {
+	if !(c.QualityTarget >= 0 && c.QualityTarget <= 1) {
 		return gferr.BadConfigf("core: QualityTarget must be in [0, 1], got %v", c.QualityTarget)
 	}
 	if c.QualityTarget > 0 && !c.Anytime {
@@ -245,7 +249,7 @@ type Partial struct {
 // Result is the outcome of a formation run.
 type Result struct {
 	// Groups are the formed groups in the order they were created
-	// (heap pops first, merged remainder last).
+	// (best buckets first, merged remainder last).
 	Groups []Group
 	// Objective is the aggregated group satisfaction, the Obj of
 	// Section 2.4.
@@ -261,6 +265,44 @@ type Result struct {
 	// Partial carries its quality certificate. Nil means the run
 	// completed normally.
 	Partial *Partial
+}
+
+// clone is the copy-out of a scratch-carved Result: Groups and Partial
+// are copied, and every group's Members, Items and ItemScores are
+// carved from one fresh array per slice kind, so the copy shares no
+// memory with r.
+func (r *Result) clone() *Result {
+	out := *r
+	if r.Partial != nil {
+		p := *r.Partial
+		out.Partial = &p
+	}
+	var nm, ni, ns int
+	for _, g := range r.Groups {
+		nm, ni, ns = nm+len(g.Members), ni+len(g.Items), ns+len(g.ItemScores)
+	}
+	members := make([]dataset.UserID, 0, nm)
+	items := make([]dataset.ItemID, 0, ni)
+	scores := make([]float64, 0, ns)
+	out.Groups = make([]Group, len(r.Groups))
+	for i, g := range r.Groups {
+		g.Members = carve(&members, g.Members)
+		g.Items = carve(&items, g.Items)
+		g.ItemScores = carve(&scores, g.ItemScores)
+		out.Groups[i] = g
+	}
+	return &out
+}
+
+// carve appends src to *dst, whose capacity the caller reserved, and
+// returns the appended run with its capacity pinned; nil stays nil.
+func carve[T any](dst *[]T, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	lo := len(*dst)
+	*dst = append(*dst, src...)
+	return (*dst)[lo:len(*dst):len(*dst)]
 }
 
 // bucket is an intermediate group: users indistinguishable under the
@@ -286,24 +328,26 @@ func Form(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, error)
 // FormWithPrefs is Form with the O(nk) preference-list construction
 // already done. prefs must be rank.AllTopK's output for (cfg.K,
 // cfg.Missing) over ds, in dataset user order; nil builds the lists
-// internally. Supplied lists are treated as shared and read-only —
-// the fold paths copy score positions instead of aliasing them — so
-// an Engine can serve many concurrent Forms from one cached slice;
-// the formed groups are byte-identical either way. The run borrows a
-// pooled Scratch for its transient state, but everything reachable
-// from the returned Result is freshly allocated and caller-owned.
+// internally. Supplied lists are only read — buckets fold into copies
+// of their score positions — so an Engine can serve many concurrent
+// Forms from one cached slice. The run is FormInto on a pooled Scratch
+// plus one copy-out, so everything reachable from the returned Result
+// is caller-owned and shares no memory with prefs or the pool.
 func FormWithPrefs(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList) (*Result, error) {
-	s := formScratchPool.Get().(*Scratch)
-	res, err := s.form(ctx, ds, cfg, prefs)
-	formScratchPool.Put(s)
+	s := scratchPool.Get().(*Scratch)
+	res, err := FormInto(ctx, ds, cfg, prefs, s)
+	if err == nil {
+		res = res.clone()
+	}
+	scratchPool.Put(s)
 	return res, err
 }
 
-// FormInto is FormWithPrefs running entirely on the caller's Scratch:
-// every buffer, including the Result and the arrays its Groups point
-// into, is carved from s and reused by s's next run. The returned
-// Result is therefore valid only until s is used again, and s must not
-// be shared between goroutines. In steady state — same dataset, same
+// FormInto is the solve behind FormWithPrefs, run entirely on the
+// caller's Scratch: every buffer, including the Result and the arrays
+// its Groups point into, is carved from s and reused by s's next run.
+// The returned Result is therefore valid only until s is used again,
+// and s must not be shared between goroutines. In steady state — same
 // configuration shape, warm preference lists — a serial FormInto
 // performs no allocations; this is the Engine's serving path.
 //
@@ -312,14 +356,7 @@ func FormInto(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank
 	if s == nil {
 		return nil, gferr.BadConfigf("core: FormInto requires a non-nil Scratch")
 	}
-	s.begin(true)
-	return s.run(ctx, ds, cfg, prefs)
-}
-
-// form is the safe-mode entry: transient scratch reuse, fresh
-// result-owned memory.
-func (s *Scratch) form(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList) (*Result, error) {
-	s.begin(false)
+	s.begin()
 	return s.run(ctx, ds, cfg, prefs)
 }
 
@@ -327,7 +364,6 @@ func (s *Scratch) form(ctx context.Context, ds *dataset.Dataset, cfg Config, pre
 //
 //gfvet:zeroalloc
 func (s *Scratch) run(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList) (*Result, error) {
-	shared := prefs != nil
 	prefs, err := prepare(ctx, ds, cfg, prefs)
 	if err != nil {
 		return nil, err
@@ -337,16 +373,18 @@ func (s *Scratch) run(ctx context.Context, ds *dataset.Dataset, cfg Config, pref
 	if par.Enabled(workers) {
 		buckets = bucketizeParallel(prefs, cfg, workers, s)
 	} else {
-		buckets = s.bucketize(prefs, cfg, !shared)
+		buckets = s.bucketize(prefs, cfg)
 	}
 	if err := gferr.Ctx(ctx); err != nil {
 		return nil, err
 	}
-	res := s.newResult()
-	res.Buckets = len(buckets)
-	res.Algorithm = cfg.AlgorithmName()
+	s.result = Result{Buckets: len(buckets), Algorithm: cfg.AlgorithmName()}
+	res := &s.result
 	tasks := s.plan(buckets, cfg)
-	groups := s.groupSlice(len(tasks))
+	if cap(s.groups) < len(tasks) {
+		s.groups = make([]Group, len(tasks))
+	}
+	groups := s.groups[:len(tasks)]
 	s.oracle = localOracle{sc: cfg.scorer(ds), s: s}
 	// The serial path finalizes every group on the scratch's oracle;
 	// the parallel path fans the bucket groups out first and leaves
@@ -416,18 +454,43 @@ type groupTask struct {
 	// refold marks a strict piece of a full-sequence bucket: it keeps
 	// the bucket's list, rescored over its own members.
 	refold bool
-	// merged marks the l-th group, every bucket left on the heap.
+	// merged marks the l-th group: every bucket outside the L-1 best.
 	merged bool
 }
 
-// plan lays out steps 3 and 4 of the framework from the bucket heap
+// rankedBucket is a bucket with its aggregated satisfaction, the
+// primary key of the plan's order.
+type rankedBucket struct {
+	sat float64
+	b   *bucket
+}
+
+// bucketAhead orders buckets by (satisfaction desc, size desc, key
+// asc). The paper's Algorithm 1 keeps a heap of LM scores; ranking by
+// the aggregated bucket satisfaction generalizes that to all six
+// algorithm variants. Bucket keys are unique, so this is a strict
+// total order and the selected prefix never depends on the input
+// permutation.
+func bucketAhead(a, b rankedBucket) bool {
+	if a.sat != b.sat {
+		return a.sat > b.sat
+	}
+	if len(a.b.members) != len(b.b.members) {
+		return len(a.b.members) > len(b.b.members)
+	}
+	return a.b.key < b.b.key
+}
+
+// plan lays out steps 3 and 4 of the framework from the buckets
 // alone, without a rating probe, and returns every group in output
-// order. With more buckets than L, the L-1 best buckets are groups of
-// their own and every remaining member joins the merged l-th group,
-// listed last. Otherwise every bucket becomes final and, because the
-// objective only grows with the number of groups (Section 4.1, step
-// 2), the L - len(buckets) surplus groups go, one at a time, to the
-// best bucket that can still be split. Splitting preserves each
+// order. With more buckets than L, the L-1 best buckets in
+// bucketAhead order are groups of their own and every remaining
+// member joins the merged l-th group, listed last; only those L-1 are
+// ordered, since the remainder is sorted by user anyway. Otherwise
+// every bucket becomes final, all of them in bucketAhead order, and,
+// because the objective only grows with the number of groups (Section
+// 4.1, step 2), the L - len(buckets) surplus groups go, one at a time,
+// to the best bucket that can still be split. Splitting preserves each
 // piece's satisfaction under LM (members are indistinguishable w.r.t.
 // the aggregated score) and is neutral under AV (bucket satisfaction
 // is additive over members), so splitting the best buckets first is
@@ -439,27 +502,30 @@ type groupTask struct {
 //
 //gfvet:zeroalloc
 func (s *Scratch) plan(buckets []*bucket, cfg Config) []groupTask {
-	h := newBucketHeapInto(&s.heap, buckets, cfg.Aggregation)
+	ranked := slices.Grow(s.ranked[:0], len(buckets))
+	for _, b := range buckets {
+		ranked = append(ranked, rankedBucket{sat: cfg.Aggregation.Aggregate(b.scores), b: b})
+	}
+	s.ranked = ranked
 	tasks := s.tasks[:0]
 	if len(buckets) > cfg.L {
-		for len(tasks) < cfg.L-1 {
-			b := heap.Pop(h).(*bucket)
-			sortUsers(b.members)
-			tasks = append(tasks, groupTask{b: b, members: b.members})
+		best := selection.TopK(ranked, cfg.L-1, bucketAhead)
+		for _, r := range ranked[:best] {
+			sortUsers(r.b.members)
+			tasks = append(tasks, groupTask{b: r.b, members: r.b.members})
 		}
 		rest := s.rest[:0]
-		for h.Len() > 0 {
-			rest = append(rest, heap.Pop(h).(*bucket).members...)
-		}
-		if s.owned {
-			s.rest = rest
+		for _, r := range ranked[best:] {
+			rest = append(rest, r.b.members...)
 		}
 		sortUsers(rest)
+		s.rest = rest
 		tasks = append(tasks, groupTask{members: rest, merged: true})
 	} else {
+		selection.TopK(ranked, len(ranked), bucketAhead)
 		surplus := cfg.L - len(buckets)
-		for h.Len() > 0 {
-			b := heap.Pop(h).(*bucket)
+		for _, r := range ranked {
+			b := r.b
 			sortUsers(b.members)
 			n := len(b.members)
 			parts := 1 + min(surplus, n-1)
@@ -645,21 +711,9 @@ func (o *localOracle) GroupTopK(_ context.Context, sem semantics.Semantics, memb
 
 // bucketize hashes every user's preference list into intermediate
 // groups under the configured key (step 1 of the framework), in
-// first-seen order, on a throwaway scratch — the serial reference
-// entry point the parallel parity tests pin bucketizeParallel against.
-func bucketize(prefs []rank.PrefList, cfg Config, ownedPrefs bool) []*bucket {
-	s := NewScratch()
-	s.begin(false)
-	return s.bucketize(prefs, cfg, ownedPrefs)
-}
-
-// bucketize hashes every user's preference list into intermediate
-// groups under the configured key (step 1 of the framework), in
 // first-seen order. Group item scores are folded in as members join:
-// min for LM, sum for AV. With ownedPrefs false the prefs are shared
-// (an Engine cache) and every bucket copies its score positions
-// instead of adopting the pref list's slices, so the fold never
-// mutates the caller's lists.
+// min for LM, sum for AV, into the bucket's own copy of its score
+// positions, so the fold never mutates the caller's lists.
 //
 // Allocation discipline: key bytes resolve through the scratch's
 // persistent intern table (map lookups go through the no-alloc
@@ -671,7 +725,7 @@ func bucketize(prefs []rank.PrefList, cfg Config, ownedPrefs bool) []*bucket {
 // pass. A warm scratch runs this whole step without allocating.
 //
 //gfvet:zeroalloc
-func (s *Scratch) bucketize(prefs []rank.PrefList, cfg Config, ownedPrefs bool) []*bucket {
+func (s *Scratch) bucketize(prefs []rank.PrefList, cfg Config) []*bucket {
 	// A cold scratch pre-sizes the intern-side arrays to the worst
 	// case (every list a distinct bucket): three exact allocations
 	// instead of append-doubling chains, so a one-shot Form never
@@ -706,7 +760,7 @@ func (s *Scratch) bucketize(prefs []rank.PrefList, cfg Config, ownedPrefs bool) 
 			idx = int32(len(bs))
 			s.keyToBucket[id] = idx
 			s.touchedKeys = append(s.touchedKeys, id)
-			items, scores := s.seedBucket(p, cfg, !ownedPrefs)
+			items, scores := s.seedBucket(p, cfg)
 			bs = append(bs, bucket{key: s.keys[id], items: items, scores: scores})
 			counts = append(counts, 0)
 		} else {
@@ -726,13 +780,14 @@ func (s *Scratch) bucketize(prefs []rank.PrefList, cfg Config, ownedPrefs bool) 
 // members land in exactly the order the serial fold met them (a flat
 // array rather than a walk callback — the closure was the warm path's
 // last heap allocation). Returns stable pointers into the bucket
-// backing array. The offset/cursor/pointer bookkeeping is
-// scratch-transient; the member arena itself follows the scratch's
-// ownership mode (it escapes into the Result's Groups).
+// backing array.
 //
 //gfvet:zeroalloc
 func (s *Scratch) fillMembers(prefs []rank.PrefList, bs []bucket, counts []int32, assign []int32) []*bucket {
-	arena := s.memberSlice(len(prefs))
+	if cap(s.memberArena) < len(prefs) {
+		s.memberArena = make([]dataset.UserID, len(prefs))
+	}
+	arena := s.memberArena[:len(prefs)]
 	if cap(s.offs) < len(bs)+1 {
 		s.offs = make([]int32, len(bs)+1)
 	}
@@ -778,36 +833,28 @@ func (s *Scratch) takeScores(n int) []float64 {
 // seedBucket returns the item list and initial score positions of a
 // bucket created by preference list p. LM-MAX buckets agree only on
 // the (top item, score) pair — members' list tails differ, so only
-// position 0 is stored and the final list is completed later. With
-// copyScores false the bucket adopts the pref list's freshly
-// allocated slices without copying (at large n*k the copies would
-// dominate memory); shared Engine-cached lists force a copy because
-// the fold must not mutate them, and the parallel shard passes (nil
-// scratch) always copy because the merge later replays the original
-// scores. AV always folds weighted copies and never aliases the pref
-// list. With a scratch, copies are carved from the score arena and
-// cost no allocation once warm.
+// position 0 is stored and the final list is completed later. The
+// scores are always a copy (weighted under AV), because the fold must
+// not mutate the caller's lists and the parallel merge later replays
+// the original scores; with a scratch the copy is carved from the
+// score arena and costs no allocation once warm.
 //
 //gfvet:zeroalloc
-func (s *Scratch) seedBucket(p rank.PrefList, cfg Config, copyScores bool) ([]dataset.ItemID, []float64) {
+func (s *Scratch) seedBucket(p rank.PrefList, cfg Config) ([]dataset.ItemID, []float64) {
 	items, scores := p.Items, p.Scores
 	if cfg.Semantics == semantics.LM && cfg.Aggregation == semantics.Max {
 		items, scores = items[:1], scores[:1]
 	}
+	dst := s.takeScores(len(scores))
 	if cfg.Semantics == semantics.AV {
 		w := cfg.weight(p.User)
-		owned := s.takeScores(len(scores))
 		for j, v := range scores {
-			owned[j] = w * v
+			dst[j] = w * v
 		}
-		return items, owned
+	} else {
+		copy(dst, scores)
 	}
-	if copyScores {
-		owned := s.takeScores(len(scores))
-		copy(owned, scores)
-		return items, owned
-	}
-	return items, scores
+	return items, dst
 }
 
 // foldBucketMember folds a joining member's scores into the bucket's
@@ -868,61 +915,6 @@ func appendKey(buf []byte, p rank.PrefList, cfg Config) []byte {
 
 func appendScore(buf []byte, s float64) []byte {
 	return binary.BigEndian.AppendUint64(buf, math.Float64bits(s))
-}
-
-// bucketHeap orders buckets by (satisfaction desc, size desc, key
-// asc). The paper's Algorithm 1 keeps a heap of LM scores; ordering by
-// the aggregated bucket satisfaction generalizes that to all six
-// algorithm variants.
-type bucketHeap struct {
-	bs  []*bucket
-	sat []float64
-	agg semantics.Aggregation
-}
-
-// newBucketHeapInto (re)initializes h — typically a Scratch's reusable
-// heap — over the given buckets.
-func newBucketHeapInto(h *bucketHeap, buckets []*bucket, agg semantics.Aggregation) *bucketHeap {
-	h.agg = agg
-	h.bs = slices.Grow(h.bs[:0], len(buckets))
-	h.sat = slices.Grow(h.sat[:0], len(buckets))
-	for _, b := range buckets {
-		h.bs = append(h.bs, b)
-		h.sat = append(h.sat, agg.Aggregate(b.scores))
-	}
-	heap.Init(h)
-	return h
-}
-
-func (h *bucketHeap) Len() int { return len(h.bs) }
-
-func (h *bucketHeap) Less(i, j int) bool {
-	if h.sat[i] != h.sat[j] {
-		return h.sat[i] > h.sat[j]
-	}
-	if len(h.bs[i].members) != len(h.bs[j].members) {
-		return len(h.bs[i].members) > len(h.bs[j].members)
-	}
-	return h.bs[i].key < h.bs[j].key
-}
-
-func (h *bucketHeap) Swap(i, j int) {
-	h.bs[i], h.bs[j] = h.bs[j], h.bs[i]
-	h.sat[i], h.sat[j] = h.sat[j], h.sat[i]
-}
-
-func (h *bucketHeap) Push(x any) {
-	b := x.(*bucket)
-	h.bs = append(h.bs, b)
-	h.sat = append(h.sat, h.agg.Aggregate(b.scores))
-}
-
-func (h *bucketHeap) Pop() any {
-	n := len(h.bs)
-	b := h.bs[n-1]
-	h.bs = h.bs[:n-1]
-	h.sat = h.sat[:n-1]
-	return b
 }
 
 func sortUsers(us []dataset.UserID) {

@@ -280,6 +280,14 @@ func TestConfigValidate(t *testing.T) {
 		{K: 1, L: 0, Semantics: semantics.LM, Aggregation: semantics.Min},
 		{K: 1, L: 2, Semantics: semantics.Semantics(9), Aggregation: semantics.Min},
 		{K: 1, L: 2, Semantics: semantics.LM, Aggregation: semantics.Aggregation(9)},
+		// Non-finite parameters would form groups with NaN or infinite
+		// scores.
+		{K: 1, L: 2, Semantics: semantics.AV, Aggregation: semantics.Sum, Missing: math.NaN()},
+		{K: 1, L: 2, Semantics: semantics.AV, Aggregation: semantics.Sum, Missing: math.Inf(1)},
+		{K: 1, L: 2, Semantics: semantics.AV, Aggregation: semantics.Sum, Missing: math.Inf(-1)},
+		{K: 1, L: 2, Semantics: semantics.AV, Aggregation: semantics.Sum, UserWeights: map[dataset.UserID]float64{1: math.NaN()}},
+		{K: 1, L: 2, Semantics: semantics.AV, Aggregation: semantics.Sum, UserWeights: map[dataset.UserID]float64{1: math.Inf(1)}},
+		{K: 1, L: 2, Semantics: semantics.AV, Aggregation: semantics.Sum, Anytime: true, QualityTarget: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(ds); err == nil {

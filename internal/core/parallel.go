@@ -33,8 +33,8 @@
 // allocations.
 //
 // The replay needs each member's original preference scores after the
-// shard pass mutated its local fold, so shard buckets always own a
-// copy of their score positions (seedBucket's copyScores).
+// shard pass mutated its local fold, which holds because buckets
+// always fold into their own copy of the score positions (seedBucket).
 package core
 
 import (
@@ -74,7 +74,7 @@ func bucketizeParallel(prefs []rank.PrefList, cfg Config, workers int, scr *Scra
 			keyBuf = appendKey(keyBuf[:0], p, cfg)
 			idx, ok := byKey[string(keyBuf)]
 			if !ok {
-				items, scores := (*Scratch)(nil).seedBucket(p, cfg, true)
+				items, scores := (*Scratch)(nil).seedBucket(p, cfg)
 				key := string(keyBuf)
 				idx = int32(len(sh.recs))
 				byKey[key] = idx

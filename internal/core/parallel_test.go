@@ -150,6 +150,16 @@ func TestFormParallelWeighted(t *testing.T) {
 	}
 }
 
+// bucketize hashes every user's preference list into intermediate
+// groups under the configured key (step 1 of the framework), in
+// first-seen order, on a throwaway scratch — the serial reference
+// entry point the parallel parity tests pin bucketizeParallel against.
+func bucketize(prefs []rank.PrefList, cfg Config) []*bucket {
+	s := NewScratch()
+	s.begin()
+	return s.bucketize(prefs, cfg)
+}
+
 // TestBucketizeParallelMatchesSerial compares the intermediate
 // groups directly: same keys, same member order, same score bits.
 func TestBucketizeParallelMatchesSerial(t *testing.T) {
@@ -164,16 +174,16 @@ func TestBucketizeParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial := bucketize(prefs, cfg, true)
-			// Re-rank: the serial pass may mutate adopted pref
-			// slices, so the parallel pass gets a fresh copy.
+			serial := bucketize(prefs, cfg)
+			// Re-rank: the parallel pass gets lists of its own, so it
+			// cannot read anything the serial pass left in them.
 			prefs2, err := rank.AllTopK(ds, cfg.K, cfg.Missing)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{2, 3, 8, 64} {
 				scr := NewScratch()
-				scr.begin(false)
+				scr.begin()
 				got := bucketizeParallel(prefs2, cfg, w, scr)
 				if len(got) != len(serial) {
 					t.Fatalf("%s-%s/workers=%d: %d buckets, want %d", sem, agg, w, len(got), len(serial))

@@ -1,28 +1,22 @@
 // Per-run scratch for the formation pipeline. A Scratch owns every
-// reusable buffer a serial Form needs — the bucket-key intern table,
+// reusable buffer of a serial run — the bucket-key intern table,
 // assignment/count arrays, the member arena, the bucket score/item
-// arenas, heap state, and the semantics top-k scratch — so a warm
+// arenas, the plan's ranking and task arrays, the semantics top-k
+// scratch and the Result with its Groups — so a warm
 // Engine.FormInto on a bound dataset runs without allocating.
 //
-// Ownership rules:
+// There is one ownership rule: a run carves everything, the Result
+// included, from its scratch and reuses it on the scratch's next run,
+// so a returned Result is valid only until then, and a Scratch must
+// never be used from two goroutines at once. Form and FormWithPrefs
+// are FormInto on a pooled scratch plus one copy-out of the Result,
+// and BucketizeShard clones its buckets out of a pooled scratch.
 //
-//   - Safe mode (Form/FormWithPrefs, pooled scratch): buffers that
-//     escape into the returned Result — the member arena, the bucket
-//     score/item arena blocks, the Groups slice — are freshly
-//     allocated every run (the arenas drop their blocks at begin), so
-//     Results keep the historical own-your-result contract. Only
-//     transient state (intern table, assign/counts, heap arrays,
-//     candidate buffers, dense-accumulator lease) is recycled.
-//   - Owned mode (FormInto, caller scratch): everything, including the
-//     Result and its arrays, is carved from the scratch and reused.
-//     The returned Result is valid only until the scratch's next use,
-//     and a Scratch must never be used from two goroutines at once.
-//
-// The intern table is the one piece that persists across runs in both
-// modes: bucket keys are deterministic byte strings, so steady-state
-// traffic hits the table and never re-materializes a key. It is
-// dropped and rebuilt when it outgrows maxInternedKeys, bounding
-// memory on pathological many-dataset reuse.
+// The intern table persists across runs: bucket keys are
+// deterministic byte strings, so steady-state traffic hits the table
+// and never re-materializes a key. It is dropped and rebuilt when it
+// outgrows maxInternedKeys, bounding memory on pathological
+// many-dataset reuse.
 package core
 
 import (
@@ -41,21 +35,17 @@ const arenaMinBlock = 1024
 // the table is rebuilt from empty at the next run.
 const maxInternedKeys = 1 << 18
 
-// arena is a block-chained bump allocator for result-owned slices
-// (bucket score positions, completed top-k lists). take never moves
-// memory previously handed out within a run; reset either rewinds over
-// the retained blocks (owned mode) or drops them so escaped slices
-// stay private to their Result (safe mode).
+// arena is a block-chained bump allocator for result slices (bucket
+// score positions, completed top-k lists). take never moves memory
+// previously handed out within a run; reset rewinds over the retained
+// blocks.
 type arena[T any] struct {
 	blocks [][]T
 	bi     int // current block
 	off    int // bump offset into blocks[bi]
 }
 
-func (a *arena[T]) reset(retain bool) {
-	if !retain {
-		a.blocks = nil
-	}
+func (a *arena[T]) reset() {
 	a.bi, a.off = 0, 0
 }
 
@@ -102,8 +92,8 @@ func (a *arena[T]) copyIn(src []T) []T {
 
 // Scratch owns the reusable state of formation runs. The zero value is
 // ready to use; NewScratch pre-sizes nothing and exists for symmetry
-// with the facade. See the package comment of this file for the
-// safe/owned ownership rules.
+// with the facade. See the comment at the top of this file for the
+// ownership rule.
 type Scratch struct {
 	// Persistent bucket-key interning: key bytes -> key id, the
 	// canonical string per id, and the per-run id -> bucket mapping
@@ -125,7 +115,7 @@ type Scratch struct {
 	scoreArena  arena[float64]
 	itemArena   arena[dataset.ItemID]
 
-	heap   bucketHeap
+	ranked []rankedBucket
 	tasks  []groupTask
 	groups []Group
 	errs   []error
@@ -135,21 +125,18 @@ type Scratch struct {
 	oracle localOracle
 
 	result Result
-	owned  bool
 }
 
 // NewScratch returns an empty Scratch.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// formScratchPool backs the safe Form/FormWithPrefs entry points, so
-// one-shot callers still amortize the transient state across calls.
-var formScratchPool = sync.Pool{New: func() any { return NewScratch() }}
+// scratchPool backs Form, FormWithPrefs and BucketizeShard, so
+// one-shot callers still reuse a warm scratch across calls.
+var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
-// begin readies the scratch for one run. Owned mode rewinds the
-// arenas over their retained blocks; safe mode drops every
-// result-owned buffer so previously returned Results stay untouched.
-func (s *Scratch) begin(owned bool) {
-	s.owned = owned
+// begin readies the scratch for one run: the per-run key mapping is
+// reset and the arenas rewind over their retained blocks.
+func (s *Scratch) begin() {
 	if s.intern == nil || len(s.keys) > maxInternedKeys {
 		s.intern = make(map[string]int32)
 		s.keys = s.keys[:0]
@@ -160,67 +147,11 @@ func (s *Scratch) begin(owned bool) {
 		s.keyToBucket[id] = -1
 	}
 	s.touchedKeys = s.touchedKeys[:0]
-	s.scoreArena.reset(owned)
-	s.itemArena.reset(owned)
-	if !owned {
-		s.memberArena = nil
-		s.groups = nil
-		s.rest = nil
-		// The remaining reusable structures hold pointers into the
-		// previous run's escaped Result (bucket member/score slices,
-		// Group arrays, errors). Zero their full backing so a pooled
-		// scratch never pins a dropped Result's memory — capacity is
-		// kept, so this is a memclr, not an allocation. Owned mode
-		// skips this: there the stale references point into the
-		// scratch's own retained memory anyway, and the clear would
-		// cost O(high-water mark) per serve.
-		clearFull(s.bs)
-		clearFull(s.outPtrs)
-		clearFull(s.tasks)
-		clearFull(s.errs)
-		clearFull(s.heap.bs)
-		s.result = Result{}
-	}
+	s.scoreArena.reset()
+	s.itemArena.reset()
 }
 
-// clearFull zeroes a slice's entire backing array, [0, cap): entries
-// beyond the current length are unreachable through the slice but
-// still pin their referents for the garbage collector.
-func clearFull[T any](s []T) {
-	clear(s[:cap(s)])
-}
-
-// memberSlice returns the length-n backing for this run's bucket
-// member arena: scratch-owned in owned mode, escaping-fresh otherwise.
-//
-//gfvet:zeroalloc
-func (s *Scratch) memberSlice(n int) []dataset.UserID {
-	if !s.owned {
-		return make([]dataset.UserID, n)
-	}
-	if cap(s.memberArena) < n {
-		s.memberArena = make([]dataset.UserID, n)
-	}
-	return s.memberArena[:n]
-}
-
-// groupSlice returns the length-n Groups backing (same ownership split
-// as memberSlice).
-//
-//gfvet:zeroalloc
-func (s *Scratch) groupSlice(n int) []Group {
-	if !s.owned {
-		return make([]Group, n)
-	}
-	if cap(s.groups) < n {
-		s.groups = make([]Group, n)
-	}
-	s.groups = s.groups[:n]
-	return s.groups
-}
-
-// errSlice returns a nil-cleared length-n error slice (always
-// transient).
+// errSlice returns a nil-cleared length-n error slice.
 //
 //gfvet:zeroalloc
 func (s *Scratch) errSlice(n int) []error {
@@ -232,16 +163,4 @@ func (s *Scratch) errSlice(n int) []error {
 		e[i] = nil
 	}
 	return e
-}
-
-// newResult returns this run's Result: the scratch's own in owned
-// mode, a fresh one otherwise.
-//
-//gfvet:zeroalloc
-func (s *Scratch) newResult() *Result {
-	if !s.owned {
-		return &Result{}
-	}
-	s.result = Result{}
-	return &s.result
 }

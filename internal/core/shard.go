@@ -69,9 +69,10 @@ func BucketizeShard(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs 
 	if err != nil {
 		return nil, err
 	}
-	s := NewScratch()
-	s.begin(false)
-	bs := s.bucketize(prefs, cfg, false)
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	s.begin()
+	bs := s.bucketize(prefs, cfg)
 	out := make([]ShardBucket, len(bs))
 	for i, b := range bs {
 		// The wire-safe clones can add up to the whole slice's

@@ -143,7 +143,7 @@ func TestShardedFormAVBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial := bucketize(prefs, cfg, false)
+		serial := bucketize(prefs, cfg)
 		sc := cfg.scorer(ds)
 		sc.Workers = 1
 		for _, s := range []int{1, 2, 3, 7} {
@@ -228,7 +228,7 @@ func TestMergeShardBucketsMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial := bucketize(prefs, cfg, false)
+			serial := bucketize(prefs, cfg)
 			for _, s := range []int{2, 3, 7} {
 				passes := make([][]ShardBucket, s)
 				for i := 0; i < s; i++ {
@@ -337,6 +337,10 @@ func TestFinalizeMergedRejectsBadInput(t *testing.T) {
 		{"K <= 0", withCfg(func(c *Config) { c.K = 0 }), good, o},
 		{"L <= 0", withCfg(func(c *Config) { c.L = -1 }), good, o},
 		{"invalid semantics", withCfg(func(c *Config) { c.Semantics = 7 }), good, o},
+		{"NaN missing", withCfg(func(c *Config) { c.Missing = math.NaN() }), good, o},
+		{"-Inf missing", withCfg(func(c *Config) { c.Missing = math.Inf(-1) }), good, o},
+		{"+Inf weight", withCfg(func(c *Config) { c.UserWeights = map[dataset.UserID]float64{1: math.Inf(1)} }), good, o},
+		{"NaN quality target", withCfg(func(c *Config) { c.Anytime, c.QualityTarget = true, math.NaN() }), good, o},
 	}
 	for _, c := range cases {
 		res, err := FinalizeMerged(context.Background(), c.cfg, c.merged, c.o)

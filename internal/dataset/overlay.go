@@ -65,9 +65,9 @@ type overlay struct {
 }
 
 // UpsertResult reports what one Upsert application changed, in the
-// shape Engine invalidation needs: which users' rows differ, whether
-// the item table grew (padding-sensitive caches must widen their
-// dirty set), and whether the fast overlay path applied at all.
+// shape Engine invalidation needs: which users' rows differ, how many
+// users and items were appended, and whether the fast overlay path
+// applied at all.
 type UpsertResult struct {
 	// Applied is the number of upsert triples processed.
 	Applied int

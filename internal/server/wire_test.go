@@ -210,6 +210,42 @@ func TestWireErrorsAreJSON(t *testing.T) {
 	}
 }
 
+// TestWireNonFiniteParamsRejected: a binary frame carries raw float64
+// fields, so a NaN or infinite missing value or a NaN quality target
+// reaches the solver unless config validation stops it. Both response
+// encodings must answer 400 bad_config — not a 500 from the JSON
+// encoder, nor a 200 with a NaN or -Inf objective in binary.
+func TestWireNonFiniteParamsRejected(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		req  wire.FormRequest
+	}{
+		{"missing NaN", wire.FormRequest{Missing: nan}},
+		{"missing +Inf", wire.FormRequest{Missing: inf}},
+		{"missing -Inf", wire.FormRequest{Missing: -inf}},
+		{"quality target NaN", wire.FormRequest{Anytime: true, QualityTarget: nan}},
+	}
+	for _, c := range cases {
+		req := c.req
+		req.Dataset = []byte("main")
+		req.K, req.L = 3, 6
+		req.Semantics, req.Aggregation = semantics.AV, semantics.Sum
+		frame := wire.AppendFormRequest(nil, req)
+		for _, binResp := range []bool{false, true} {
+			rec := doWire(t, s, frame, true, binResp)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s (binary response %v): status = %d (%q), want 400", c.name, binResp, rec.Code, rec.Body.String())
+			}
+			wantStatus(t, rec, http.StatusBadRequest, CodeBadConfig)
+		}
+	}
+	if n := s.LeasedScratches(); n != 0 {
+		t.Fatalf("rejected frames leaked %d scratches", n)
+	}
+}
+
 // TestWireBodyTooLarge: the manual body reader enforces the same cap
 // as the JSON path's MaxBytesReader, classified 413.
 func TestWireBodyTooLarge(t *testing.T) {

@@ -143,7 +143,7 @@ func TestAdvanceStatsSequence(t *testing.T) {
 func TestAdvancePointerIdentity(t *testing.T) {
 	ctx := context.Background()
 	// User 4 has a single rating: its k=2 list is padded, so it is
-	// the row a catalog-widening upsert must re-rank.
+	// the row a catalog-widening upsert must still carry.
 	ds, err := dataset.FromRatings(dataset.DefaultScale, []dataset.Rating{
 		{User: 1, Item: 1, Value: 5}, {User: 1, Item: 2, Value: 3},
 		{User: 2, Item: 1, Value: 2}, {User: 2, Item: 3, Value: 4},
@@ -190,8 +190,9 @@ func TestAdvancePointerIdentity(t *testing.T) {
 		}
 	}
 
-	// New items dirty exactly the short rows (padding draws on the
-	// whole catalog), leaving full rows carried.
+	// A new item dirties no existing row: it takes the largest index,
+	// and a short row's padding finds its K−d unrated items among the
+	// old ones first, so short rows are carried like full ones.
 	ds3, res3, err := ds2.Upsert([]dataset.Rating{{User: 9, Item: 9, Value: 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -208,13 +209,8 @@ func TestAdvancePointerIdentity(t *testing.T) {
 		t.Fatalf("carried cache holds %d lists, want %d", len(next), ds3.NumUsers())
 	}
 	for r := 0; r < len(cur); r++ {
-		short := len(ds3.RowEntries(dataset.UserIdx(r))) < 2
-		same := &next[r].Items[0] == &cur[r].Items[0]
-		if short && same {
-			t.Fatalf("row %d is shorter than k and must be re-padded for the new item", r)
-		}
-		if !short && !same {
-			t.Fatalf("row %d (full, untouched) was rebuilt instead of carried", r)
+		if &next[r].Items[0] != &cur[r].Items[0] || &next[r].Scores[0] != &cur[r].Scores[0] {
+			t.Fatalf("row %d (untouched, %d ratings) was rebuilt instead of carried", r, len(ds3.RowEntries(dataset.UserIdx(r))))
 		}
 	}
 	// And the carried+patched cache must equal a cold build.

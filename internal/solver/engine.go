@@ -23,11 +23,10 @@ import (
 // nothing else.
 //
 // An Engine is safe for concurrent use. Cached preference lists are
-// shared read-only between concurrent solves (core.FormWithPrefs
-// copies score positions instead of aliasing them), and results are
-// byte-identical to the one-shot core.Form path. Group.Items slices
-// in returned Results may share backing arrays with the cache; treat
-// Results as read-only, as with every solver here.
+// shared read-only between concurrent solves (buckets fold into
+// copies of their score positions), and results are byte-identical
+// to the one-shot core.Form path. Form's Results are caller-owned:
+// they share no memory with the cache or with any scratch.
 type Engine struct {
 	ds *dataset.Dataset
 
@@ -116,16 +115,16 @@ func (e *Engine) Stats() EngineStats {
 // implicit invalidation of building a fresh Engine, only dirty rows
 // are re-ranked, per cached (K, Missing) slot.
 //
-// A row is dirty when its ratings changed (delta.DirtyUsers), when it
-// did not exist before (appended users), or — per slot — when new
-// items appeared and the row holds fewer than K ratings, because
-// rank.TopK pads short lists with unrated items and a wider catalog
-// changes that padding. Everything else is carried over verbatim:
-// the append-only index-space invariant of dataset.Upsert guarantees
-// untouched rows rank identically under the successor dataset, and
-// dataset.Compact preserves index assignment, so an Advance with a
-// zero delta (the compaction republish) is a pure rebind that keeps
-// the warm cache.
+// A row is dirty when its ratings changed (delta.DirtyUsers) or when
+// it did not exist before (appended users). Everything else is
+// carried over verbatim. The append-only index-space invariant of
+// dataset.Upsert guarantees that untouched rows rank identically
+// under the successor dataset: new items take the largest indices,
+// and rank.TopK pads a short row with its first unrated items in
+// index order, which a slot (built with K at most the old item count)
+// always finds among the old items. dataset.Compact preserves index
+// assignment, so an Advance with a zero delta (the compaction
+// republish) is a pure rebind that keeps the warm cache.
 //
 // If the delta took the rebuild fallback (delta.Rebuilt), indices
 // were renumbered and every cached list is dropped. In-flight builds
@@ -179,11 +178,7 @@ func (e *Engine) Advance(ds *dataset.Dataset, delta dataset.UpsertResult) (*Engi
 		out := make([]rank.PrefList, n)
 		patched, reused := 0, 0
 		for r := 0; r < n; r++ {
-			d := r >= len(sn.lists) || dirty[r]
-			if !d && delta.NewItems > 0 && len(ds.RowEntries(dataset.UserIdx(r))) < sn.key.k {
-				d = true
-			}
-			if !d {
+			if r < len(sn.lists) && !dirty[r] {
 				out[r] = sn.lists[r]
 				reused++
 				continue
