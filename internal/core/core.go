@@ -19,7 +19,13 @@
 //  3. Select the l-1 best buckets by the bucket's group satisfaction
 //     (internal/selection's k-bounded kernel).
 //  4. Merge every remaining user into the l-th group and compute its
-//     top-k list from scratch under the semantics.
+//     top-k list from scratch under the semantics. The group is one
+//     pass over the users' bucket assignment, ascending with no sort,
+//     and when the selected buckets hold fewer ratings than it does,
+//     its top-k is scored by its complement: the dataset's per-item
+//     rating-level counts minus the selected members' ratings
+//     (semantics.Scorer.ComplementTopKInto), the same bits as the
+//     forward pass at a fraction of its cost.
 //
 // For a bucket, the shared top-k sequence is provably a valid group
 // top-k list under either semantics (each member ranks every outside
@@ -308,10 +314,11 @@ func carve[T any](dst *[]T, src []T) []T {
 // bucket is an intermediate group: users indistinguishable under the
 // hashing key of the configured algorithm.
 type bucket struct {
-	key     string
-	items   []dataset.ItemID
-	scores  []float64 // group item scores at each list position
-	members []dataset.UserID
+	key      string
+	items    []dataset.ItemID
+	scores   []float64 // group item scores at each list position
+	members  []dataset.UserID
+	selected bool // plan made it one of the L-1 groups of its own
 }
 
 // Form runs the greedy group-formation algorithm selected by cfg.
@@ -380,7 +387,7 @@ func (s *Scratch) run(ctx context.Context, ds *dataset.Dataset, cfg Config, pref
 	}
 	s.result = Result{Buckets: len(buckets), Algorithm: cfg.AlgorithmName()}
 	res := &s.result
-	tasks := s.plan(buckets, cfg)
+	tasks := s.plan(buckets, cfg, ds.Users())
 	if cap(s.groups) < len(tasks) {
 		s.groups = make([]Group, len(tasks))
 	}
@@ -456,6 +463,10 @@ type groupTask struct {
 	refold bool
 	// merged marks the l-th group: every bucket outside the L-1 best.
 	merged bool
+	// excluded lists, for a merged group planned from run()'s bucket
+	// assignment, every other user's dataset index, ascending: the
+	// complement the local oracle may score the group by.
+	excluded []dataset.UserIdx
 }
 
 // rankedBucket is a bucket with its aggregated satisfaction, the
@@ -483,25 +494,34 @@ func bucketAhead(a, b rankedBucket) bool {
 
 // plan lays out steps 3 and 4 of the framework from the buckets
 // alone, without a rating probe, and returns every group in output
-// order. With more buckets than L, the L-1 best buckets in
-// bucketAhead order are groups of their own and every remaining
-// member joins the merged l-th group, listed last; only those L-1 are
-// ordered, since the remainder is sorted by user anyway. Otherwise
-// every bucket becomes final, all of them in bucketAhead order, and,
-// because the objective only grows with the number of groups (Section
-// 4.1, step 2), the L - len(buckets) surplus groups go, one at a time,
-// to the best bucket that can still be split. Splitting preserves each
-// piece's satisfaction under LM (members are indistinguishable w.r.t.
-// the aggregated score) and is neutral under AV (bucket satisfaction
-// is additive over members), so splitting the best buckets first is
-// optimal given the bucketing — and is required for the rmax
-// absolute-error guarantee of Theorem 2 when l exceeds the bucket
-// count. Pieces are contiguous, near-even cuts (par.Range) of the
-// bucket's members, which plan sorts in place; the cuts depend on the
-// bucket sizes alone, so every worker count finalizes the same plan.
+// order.
+//
+// With more buckets than L, the L-1 best buckets in bucketAhead order
+// are groups of their own and every remaining member joins the merged
+// l-th group, listed last; only those L-1 are ordered. users, when
+// non-nil, is run()'s user table, and s.assign[r] then indexes
+// users[r]'s bucket in buckets: the remainder is one pass over the
+// assignment that skips the selected buckets, ascending with no sort,
+// and the same pass lists the excluded users for the complement top-k.
+// FinalizeMerged has no assignment and passes nil: its remainder
+// concatenates the other buckets' members and sorts them.
+//
+// Otherwise every bucket becomes final, all of them in bucketAhead
+// order, and, because the objective only grows with the number of
+// groups (Section 4.1, step 2), the L - len(buckets) surplus groups go,
+// one at a time, to the best bucket that can still be split. Splitting
+// preserves each piece's satisfaction under LM (members are
+// indistinguishable w.r.t. the aggregated score) and is neutral under
+// AV (bucket satisfaction is additive over members), so splitting the
+// best buckets first is optimal given the bucketing — and is required
+// for the rmax absolute-error guarantee of Theorem 2 when l exceeds
+// the bucket count. Pieces are contiguous, near-even cuts (par.Range)
+// of the bucket's members, which plan sorts in place; the cuts depend
+// on the bucket sizes alone, so every worker count finalizes the same
+// plan.
 //
 //gfvet:zeroalloc
-func (s *Scratch) plan(buckets []*bucket, cfg Config) []groupTask {
+func (s *Scratch) plan(buckets []*bucket, cfg Config, users []dataset.UserID) []groupTask {
 	ranked := slices.Grow(s.ranked[:0], len(buckets))
 	for _, b := range buckets {
 		ranked = append(ranked, rankedBucket{sat: cfg.Aggregation.Aggregate(b.scores), b: b})
@@ -511,16 +531,27 @@ func (s *Scratch) plan(buckets []*bucket, cfg Config) []groupTask {
 	if len(buckets) > cfg.L {
 		best := selection.TopK(ranked, cfg.L-1, bucketAhead)
 		for _, r := range ranked[:best] {
+			r.b.selected = true
 			sortUsers(r.b.members)
 			tasks = append(tasks, groupTask{b: r.b, members: r.b.members})
 		}
-		rest := s.rest[:0]
-		for _, r := range ranked[best:] {
-			rest = append(rest, r.b.members...)
+		rest, excl := s.rest[:0], s.excl[:0]
+		if users != nil {
+			for r, bi := range s.assign[:len(users)] {
+				if buckets[bi].selected {
+					excl = append(excl, dataset.UserIdx(r))
+				} else {
+					rest = append(rest, users[r])
+				}
+			}
+		} else {
+			for _, r := range ranked[best:] {
+				rest = append(rest, r.b.members...)
+			}
+			sortUsers(rest)
 		}
-		sortUsers(rest)
-		s.rest = rest
-		tasks = append(tasks, groupTask{members: rest, merged: true})
+		s.rest, s.excl = rest, excl
+		tasks = append(tasks, groupTask{members: rest, merged: true, excluded: excl})
 	} else {
 		selection.TopK(ranked, len(ranked), bucketAhead)
 		surplus := cfg.L - len(buckets)
@@ -565,7 +596,9 @@ func finalizeTask(ctx context.Context, cfg Config, t groupTask, o ScoreOracle) (
 	case t.refold:
 		g.Items = t.b.items
 		g.ItemScores, err = o.GroupScores(ctx, cfg.Semantics, t.members, t.b.items)
-	case t.merged || len(t.b.items) < cfg.K:
+	case t.merged:
+		g.Items, g.ItemScores, err = mergedTopK(ctx, cfg, t, o)
+	case len(t.b.items) < cfg.K:
 		g.Items, g.ItemScores, err = o.GroupTopK(ctx, cfg.Semantics, t.members, cfg.K)
 	default:
 		g.Items, g.ItemScores = t.b.items, t.b.scores
@@ -709,6 +742,46 @@ func (o *localOracle) GroupTopK(_ context.Context, sem semantics.Semantics, memb
 	return o.s.itemArena.copyIn(items), o.s.scoreArena.copyIn(scores), nil
 }
 
+// mergedTopK computes the merged remainder t's top-k. The run's own
+// local oracle scores it by its complement when plan read t off the
+// run's assignment (t.excluded then lists every other user) and
+// complementCheaper picks it; every other oracle, and every other
+// case, answers GroupTopK. Both paths give the same bits
+// (semantics.Scorer.ComplementTopKInto).
+//
+//gfvet:zeroalloc
+func mergedTopK(ctx context.Context, cfg Config, t groupTask, o ScoreOracle) ([]dataset.ItemID, []float64, error) {
+	if lo, ok := o.(*localOracle); ok && lo.s != nil {
+		ds := lo.sc.DS
+		if len(t.members)+len(t.excluded) == ds.NumUsers() && complementCheaper(ds, t.excluded) {
+			if items, scores, ok := lo.sc.ComplementTopKInto(cfg.Semantics, t.excluded, cfg.K, &lo.s.topk); ok {
+				return lo.s.itemArena.copyIn(items), lo.s.scoreArena.copyIn(scores), nil
+			}
+		}
+	}
+	return o.GroupTopK(ctx, cfg.Semantics, t.members, cfg.K)
+}
+
+// complementCheaper is the cost rule between the merged group's two
+// top-k paths: the complement folds the excluded users' ratings and
+// then reads the items×levels table, the forward pass folds every
+// rating of the remainder. On a sparse catalog at small L the
+// remainder is nearly everyone and the complement wins by an order of
+// magnitude; on a clustered catalog at large L the remainder is a
+// minority and the forward pass wins.
+func complementCheaper(ds *dataset.Dataset, excluded []dataset.UserIdx) bool {
+	lv := ds.Levels()
+	if lv == nil {
+		return false
+	}
+	ex := 0
+	for _, r := range excluded {
+		cols, _ := ds.RowIdx(r)
+		ex += len(cols)
+	}
+	return ex+ds.NumItems()*len(lv.Values()) < ds.NumRatings()-ex
+}
+
 // bucketize hashes every user's preference list into intermediate
 // groups under the configured key (step 1 of the framework), in
 // first-seen order. Group item scores are folded in as members join:
@@ -727,13 +800,14 @@ func (o *localOracle) GroupTopK(_ context.Context, sem semantics.Semantics, memb
 //gfvet:zeroalloc
 func (s *Scratch) bucketize(prefs []rank.PrefList, cfg Config) []*bucket {
 	// A cold scratch pre-sizes the intern-side arrays to the worst
-	// case (every list a distinct bucket): three exact allocations
+	// case (every list a distinct bucket): four exact allocations
 	// instead of append-doubling chains, so a one-shot Form never
 	// allocates more than the pre-scratch code did. Warm scratches
 	// keep whatever capacity they reached and grow amortized.
 	if cap(s.keys) == 0 {
 		s.keys = make([]string, 0, len(prefs))
 		s.keyToBucket = make([]int32, 0, len(prefs))
+		s.lastRun = make([]uint32, 0, len(prefs))
 	}
 	if cap(s.touchedKeys) == 0 {
 		s.touchedKeys = make([]int32, 0, len(prefs))
@@ -753,6 +827,7 @@ func (s *Scratch) bucketize(prefs []rank.PrefList, cfg Config) []*bucket {
 			id = int32(len(s.keys))
 			s.keys = append(s.keys, key)
 			s.keyToBucket = append(s.keyToBucket, -1)
+			s.lastRun = append(s.lastRun, s.runs)
 			s.intern[key] = id
 		}
 		idx := s.keyToBucket[id]

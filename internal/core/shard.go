@@ -58,8 +58,9 @@ type ShardPass struct {
 
 // BucketizeShard runs step 1 of the greedy framework over ds — one
 // shard's resident slice — and returns the buckets in wire-safe form:
-// every slice freshly allocated, nothing aliasing pref-list caches or
-// scratch arenas. prefs follows the FormWithPrefs contract (shared,
+// every slice freshly allocated (capacity pinned, so an append never
+// reaches a neighbor), nothing aliasing pref-list caches or scratch
+// arenas. prefs follows the FormWithPrefs contract (shared,
 // read-only, built for (cfg.K, cfg.Missing) over ds in user order);
 // nil builds the lists internally. The fold is the serial reference
 // fold, so a shard's buckets are literally the shard passes
@@ -73,18 +74,31 @@ func BucketizeShard(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs 
 	defer scratchPool.Put(s)
 	s.begin()
 	bs := s.bucketize(prefs, cfg)
+	// The wire-safe copies are carved from one fresh array per slice
+	// kind, as Result.clone does, so a pass costs a handful of
+	// allocations whatever its bucket count.
+	var nk, ni, nm int
+	for _, b := range bs {
+		nk, ni, nm = nk+len(b.key), ni+len(b.items), nm+len(b.members)
+	}
+	keys := make([]byte, 0, nk)
+	items := make([]dataset.ItemID, 0, ni)
+	scores := make([]float64, 0, ni)
+	members := make([]dataset.UserID, 0, nm)
 	out := make([]ShardBucket, len(bs))
 	for i, b := range bs {
-		// The wire-safe clones can add up to the whole slice's
-		// ratings; keep the bucketize cadence through the copy-out.
+		// The copies can add up to the whole slice's ratings; keep the
+		// bucketize cadence through the copy-out.
 		if err := gferr.Ctx(ctx); err != nil {
 			return nil, err
 		}
+		lo := len(keys)
+		keys = append(keys, b.key...)
 		out[i] = ShardBucket{
-			Key:     []byte(b.key),
-			Items:   slices.Clone(b.items),
-			Scores:  slices.Clone(b.scores),
-			Members: slices.Clone(b.members),
+			Key:     keys[lo:len(keys):len(keys)],
+			Items:   carve(&items, b.items),
+			Scores:  carve(&scores, b.scores),
+			Members: carve(&members, b.members),
 		}
 	}
 	return &ShardPass{Buckets: out, Users: len(prefs), Bound: BoundContribution(prefs, cfg)}, nil
@@ -187,7 +201,7 @@ func FinalizeMerged(ctx context.Context, cfg Config, merged []ShardBucket, o Sco
 		bs[i] = bucket{key: string(sb.Key), items: sb.Items, scores: sb.Scores, members: sb.Members}
 		buckets[i] = &bs[i]
 	}
-	tasks := NewScratch().plan(buckets, cfg)
+	tasks := NewScratch().plan(buckets, cfg, nil)
 	res := &Result{Groups: make([]Group, len(tasks)), Buckets: len(buckets), Algorithm: cfg.AlgorithmName()}
 	for i, t := range tasks {
 		g, err := finalizeTask(ctx, cfg, t, o)

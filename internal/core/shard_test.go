@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -444,6 +445,44 @@ func TestFinalizeMergedCancellationSweep(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestBucketizeShardAllocsFlat: BucketizeShard's wire copies are
+// carved from one array per slice kind, so a call's allocations do not
+// grow with its bucket count (they were four per bucket: 19,002 at
+// this catalog's 4,750 LM-MIN buckets). GC is held off so the pooled
+// scratch stays warm across the measured calls.
+func TestBucketizeShardAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomizes sync.Pool, so the pooled scratch does not stay warm")
+	}
+	ds, err := synth.YahooLike(10_000, 1_000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefs, err := rank.AllTopK(ds, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	for _, cfg := range []Config{
+		{K: 5, L: 10, Semantics: semantics.LM, Aggregation: semantics.Min},
+		{K: 5, L: 10, Semantics: semantics.AV, Aggregation: semantics.Sum},
+	} {
+		pass, err := BucketizeShard(ctx, ds, cfg, prefs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := BucketizeShard(ctx, ds, cfg, prefs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("%s: %v allocs per call over %d buckets, want at most 8", cfg.AlgorithmName(), allocs, len(pass.Buckets))
 		}
 	}
 }

@@ -36,6 +36,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"groupform/internal/gferr"
@@ -116,6 +117,7 @@ type Dataset struct {
 	entries []Entry   // ID-space mirror of (colIdx, vals)
 
 	itemCount []int32 // ratings per item index
+	lv        Levels  // ratings per item index and rating level; see levels.go
 
 	// dups counts duplicate (user, item) additions collapsed under
 	// the documented last-write-wins policy — at build time and by
@@ -130,9 +132,10 @@ type Dataset struct {
 }
 
 // newCSR freezes validated CSR arrays into a Dataset, building the
-// ID->index tables, the per-item rating counts and the ID-space entry
-// mirror. It adopts the slices without copying; callers hand over
-// ownership. Requirements: users and items strictly ascending;
+// ID->index tables, the per-item rating and rating-level counts and
+// the ID-space entry mirror, all in one pass over the ratings. It
+// adopts the slices without copying; callers hand over ownership.
+// Requirements: users and items strictly ascending;
 // rowPtr non-decreasing with rowPtr[0] == 0 and len(users)+1 entries;
 // colIdx strictly ascending within each row and < len(items); vals
 // within scale.
@@ -154,11 +157,19 @@ func newCSR(scale Scale, users []UserID, items []ItemID, rowPtr []int32, colIdx 
 	for j, it := range items {
 		ds.itemIdx[it] = ItemIdx(j)
 	}
-	ds.itemCount = make([]int32, len(items))
+	var lb levelBuilder
+	lb, ds.itemCount = newLevelBuilder(len(items))
 	ds.entries = make([]Entry, len(colIdx))
 	for p, j := range colIdx {
 		ds.itemCount[j]++
 		ds.entries[p] = Entry{Item: items[j], Value: vals[p]}
+		if !lb.hit(j, vals[p]) {
+			lb.miss(j, vals[p])
+		}
+	}
+	if ds.lv = lb.finish(len(colIdx)); !ds.lv.ok {
+		// No table: release the unused counts beside itemCount.
+		ds.itemCount = slices.Clone(ds.itemCount)
 	}
 	return ds
 }

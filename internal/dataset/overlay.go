@@ -220,10 +220,19 @@ func (ds *Dataset) Upsert(rs []Rating) (*Dataset, UpsertResult, error) {
 	}
 	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
 
-	// itemCount copies lazily extend to the new item width.
-	counts := make([]int32, len(nds.items))
+	// itemCount copies lazily extend to the new item width; the level
+	// table widens to the new items and to any new rating value, and
+	// its counts share itemCount's allocation.
+	m := len(nds.items)
+	lv := ds.lv.widened(rs)
+	buf := make([]int32, m*(1+lv.n))
+	counts := buf[:m:m]
 	copy(counts, ds.itemCount)
 	nds.itemCount = counts
+	if lv.ok {
+		lv.Counts = buf[m:]
+		ds.lv.copyCounts(&lv)
+	}
 
 	collapsed := 0
 	for _, u := range order {
@@ -253,14 +262,22 @@ func (ds *Dataset) Upsert(rs []Rating) (*Dataset, UpsertResult, error) {
 		for _, e := range old {
 			j, _ := nds.ItemIdxOf(e.Item)
 			counts[j]--
+			if lv.ok {
+				lv.add(j, e.Value, -1)
+			}
 		}
-		for _, j := range row.colIdx {
+		for p, j := range row.colIdx {
 			counts[j]++
+			if lv.ok {
+				lv.add(j, row.vals[p], 1)
+			}
 		}
 		ov.nratings += len(merged) - len(old)
 		ov.rows[r] = row
 	}
 	nds.dups += collapsed
+	lv.Exact = lv.ok && exactGrid(lv.Values(), ov.nratings)
+	nds.lv = lv
 
 	return nds, UpsertResult{
 		Applied:    len(rs),

@@ -68,6 +68,7 @@ func assertSameDataset(t *testing.T, tag string, got, want *Dataset) {
 	if gd, wd := got.Describe(), want.Describe(); !reflect.DeepEqual(gd, wd) {
 		t.Fatalf("%s: Describe() = %+v, want %+v", tag, gd, wd)
 	}
+	assertSameLevels(t, tag, got, want)
 }
 
 func TestUpsertBasics(t *testing.T) {

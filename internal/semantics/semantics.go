@@ -252,6 +252,9 @@ type TopKScratch struct {
 	// allocation-free even across GC cycles (pools may be emptied;
 	// leases are not).
 	da *denseAcc
+	// levels is ComplementTopKInto's excluded-rating table, one count
+	// per (item, rating level), all zero between calls.
+	levels []int32
 }
 
 // ensureDense returns the scratch's leased accumulator with at least m
@@ -390,43 +393,48 @@ func imputed(sem Semantics, totalW, missing float64) float64 {
 
 // topKDense is TopKInto's index-space body: candidates accumulate in
 // dense arrays (the scratch's leased accumulator, or pooled chunk
-// partials on the parallel path), each touched slot is scored as an
-// ItemStats record (the shards' and the router's kernel), and padding
-// reads the untouched-slot markers directly — no map from the first
-// rating probe to the returned list.
+// partials on the parallel path) and selectDense scores and selects
+// them — no map from the first rating probe to the returned list.
 //
 //gfvet:zeroalloc
 func (sc Scorer) topKDense(sem Semantics, members []dataset.UserID, k int, totalW float64, s *TopKScratch) ([]dataset.ItemID, []float64) {
 	m := sc.DS.NumItems()
-	var da *denseAcc
-	leased := false
 	if sc.Workers >= 2 && len(members) > topkChunk {
-		da = sc.accumulateIdxParallel(members, m)
-	} else {
-		da = s.ensureDense(m)
-		leased = true
-		sc.accumulateIdx(da, members)
+		da := sc.accumulateIdxParallel(members, m)
+		items, scores := sc.selectDense(sem, da, len(members), totalW, k, s)
+		da.release()
+		return items, scores
 	}
+	da := s.ensureDense(m)
+	sc.accumulateIdx(da, members)
+	items, scores := sc.selectDense(sem, da, len(members), totalW, k, s)
+	da.clear()
+	return items, scores
+}
+
+// selectDense is the tail every dense top-k shares: each touched slot
+// of da is scored as an ItemStats record (the shards' and the router's
+// kernel), the best k are kept, and a short list is padded with the
+// untouched items in catalog order at the imputed score. members and
+// totalW describe the whole group; the results are stored back into s.
+//
+//gfvet:zeroalloc
+func (sc Scorer) selectDense(sem Semantics, da *denseAcc, members int, totalW float64, k int, s *TopKScratch) ([]dataset.ItemID, []float64) {
 	all := s.candidates(len(da.touched))
 	for _, j := range da.touched {
 		st := da.stats(sc.DS, j)
-		all = append(all, scoredItem{st.Item, st.Score(sem, len(members), totalW, sc.Missing)})
+		all = append(all, scoredItem{st.Item, st.Score(sem, members, totalW, sc.Missing)})
 	}
 	items, scores := s.finish(all, k)
 	if len(items) < k {
 		pad := imputed(sem, totalW, sc.Missing)
 		ids := sc.DS.Items()
-		for j := 0; j < m && len(items) < k; j++ {
+		for j := 0; j < len(ids) && len(items) < k; j++ {
 			if da.count[j] == 0 {
 				items = append(items, ids[j])
 				scores = append(scores, pad)
 			}
 		}
-	}
-	if leased {
-		da.clear()
-	} else {
-		da.release()
 	}
 	s.items, s.scores = items, scores
 	return items, scores

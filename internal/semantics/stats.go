@@ -20,6 +20,13 @@ import (
 //	    (bounded float error; see docs/ARCHITECTURE.md, "The
 //	    scatter-gather tier").
 //
+// A group that is "everyone but a few" also has a record by
+// subtraction: ComplementTopKInto forms each item's stats as the
+// dataset's per-level rating counts minus the excluded members'
+// ratings. Its counts and minimum are exact, and so is its AV sum on
+// an exact rating grid (dataset.Levels.Exact), where every
+// association of the sum above rounds to the same bits.
+//
 // Its JSON encoding is the /shard/scores wire record.
 type ItemStats struct {
 	// Item is the item's ID.

@@ -124,9 +124,9 @@ func singleNodeForm(t *testing.T, ds *dataset.Dataset, body string) []byte {
 }
 
 // TestRouterParity: the routed response is byte-identical to the
-// single-node response for every shard count on the heap-pop branch
+// single-node response for every shard count on the heap branch
 // (L < buckets), under both semantics — integer ratings make AV exact
-// too.
+// too — with and without a missing imputation.
 func TestRouterParity(t *testing.T) {
 	ds := routerTestDataset(t, 140, 30, 8)
 	cases := []string{
@@ -143,6 +143,15 @@ func TestRouterParity(t *testing.T) {
 		// buckets need the oracle's catalog-padding walk.
 		`{"dataset":"ds","k":28,"l":5,"semantics":"lm","agg":"max"}`,
 		`{"dataset":"ds","k":28,"l":5,"semantics":"av","agg":"wsum-log"}`,
+		// A non-zero missing off the rating grid: the single node
+		// scores its merged remainder by the complement (level counts
+		// minus the selected buckets), the router by forward gathers
+		// of per-shard stats; both must land on the same bytes.
+		`{"dataset":"ds","k":4,"l":6,"semantics":"lm","agg":"min","missing":0.5}`,
+		`{"dataset":"ds","k":4,"l":6,"semantics":"av","agg":"sum","missing":0.5}`,
+		`{"dataset":"ds","k":3,"l":2,"semantics":"av","agg":"max","missing":0.5}`,
+		`{"dataset":"ds","k":28,"l":5,"semantics":"lm","agg":"sum","missing":0.5}`,
+		`{"dataset":"ds","k":28,"l":5,"semantics":"av","agg":"min","missing":0.5}`,
 	}
 	for _, body := range cases {
 		want := singleNodeForm(t, ds, body)
