@@ -800,14 +800,13 @@ func complementCheaper(ds *dataset.Dataset, excluded []dataset.UserIdx) bool {
 //gfvet:zeroalloc
 func (s *Scratch) bucketize(prefs []rank.PrefList, cfg Config) []*bucket {
 	// A cold scratch pre-sizes the intern-side arrays to the worst
-	// case (every list a distinct bucket): four exact allocations
+	// case (every list a distinct bucket): three exact allocations
 	// instead of append-doubling chains, so a one-shot Form never
 	// allocates more than the pre-scratch code did. Warm scratches
 	// keep whatever capacity they reached and grow amortized.
 	if cap(s.keys) == 0 {
 		s.keys = make([]string, 0, len(prefs))
 		s.keyToBucket = make([]int32, 0, len(prefs))
-		s.lastRun = make([]uint32, 0, len(prefs))
 	}
 	if cap(s.touchedKeys) == 0 {
 		s.touchedKeys = make([]int32, 0, len(prefs))
@@ -827,7 +826,6 @@ func (s *Scratch) bucketize(prefs []rank.PrefList, cfg Config) []*bucket {
 			id = int32(len(s.keys))
 			s.keys = append(s.keys, key)
 			s.keyToBucket = append(s.keyToBucket, -1)
-			s.lastRun = append(s.lastRun, s.runs)
 			s.intern[key] = id
 		}
 		idx := s.keyToBucket[id]

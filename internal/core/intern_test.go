@@ -2,95 +2,50 @@ package core
 
 import (
 	"context"
-	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
 
-	"groupform/internal/dataset"
 	"groupform/internal/semantics"
 	"groupform/internal/synth"
 )
 
-// TestInternTableTracksChurn: one long-lived Scratch serves a rotation
-// of configurations while upsert batches keep moving users into new
-// buckets, as a serving scratch does under ingest. The keys the churn
-// leaves behind are swept, so the intern table stays within twice the
-// keys the last few rotations used — a table that only grows crosses
-// that bound within 90 batches here — while a steady rotation adds no
-// keys and never sweeps.
-func TestInternTableTracksChurn(t *testing.T) {
+// TestInternTableResetsPastCap: a long-lived Scratch fed datasets whose
+// bucket keys never repeat interns new keys on every run, so only the
+// maxInternedKeys reset bounds its table. Stale keys stand in for those
+// of many superseded catalogs; once they push the table past the cap,
+// the next run rebuilds it from that run's keys alone and forms the
+// same result as a fresh scratch.
+func TestInternTableResetsPastCap(t *testing.T) {
 	ds, err := synth.YahooLike(2000, 200, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := []Config{
-		{K: 3, L: 10, Semantics: semantics.LM, Aggregation: semantics.Sum},
-		{K: 3, L: 10, Semantics: semantics.LM, Aggregation: semantics.Min},
-		{K: 4, L: 10, Semantics: semantics.AV, Aggregation: semantics.Min},
-		{K: 3, L: 10, Semantics: semantics.LM, Aggregation: semantics.Max},
-	}
-	const window = 4 // rotations whose keys count as recent
-	rng := rand.New(rand.NewSource(5))
-	s := NewScratch()
+	cfg := Config{K: 3, L: 10, Semantics: semantics.LM, Aggregation: semantics.Min}
 	ctx := context.Background()
-	var recent []map[string]bool
-	rotate := func() {
-		used := make(map[string]bool)
-		for _, cfg := range cfgs {
-			if _, err := FormInto(ctx, ds, cfg, nil, s); err != nil {
-				t.Fatal(err)
-			}
-			for _, b := range s.bs {
-				used[b.key] = true
-			}
-		}
-		recent = append(recent, used)
-		if len(recent) > window {
-			recent = recent[1:]
-		}
+	want, err := Form(ctx, ds, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for batch := 0; batch < 150; batch++ {
-		// Re-rate 40 users' favorite item down to 1 and a random item
-		// up to 5: their preference lists, and so their bucket keys,
-		// move.
-		var rs []dataset.Rating
-		for i := 0; i < 40; i++ {
-			r := dataset.UserIdx(rng.Intn(ds.NumUsers()))
-			row := ds.RowEntries(r)
-			fav := row[0]
-			for _, e := range row {
-				if e.Value > fav.Value {
-					fav = e
-				}
-			}
-			u := ds.UserAt(r)
-			rs = append(rs,
-				dataset.Rating{User: u, Item: fav.Item, Value: 1},
-				dataset.Rating{User: u, Item: ds.ItemAt(dataset.ItemIdx(rng.Intn(ds.NumItems()))), Value: 5})
-		}
-		next, _, err := ds.Upsert(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds = next.Compact()
-		rotate()
-		union := make(map[string]bool)
-		for _, used := range recent {
-			for k := range used {
-				union[k] = true
-			}
-		}
-		if limit := 2 * max(len(union), minSweepKeys); len(s.keys) > limit {
-			t.Fatalf("batch %d: %d interned keys, over twice the %d keys the last %d rotations used", batch, len(s.keys), len(union), len(recent))
-		}
+	s := NewScratch()
+	if _, err := FormInto(ctx, ds, cfg, nil, s); err != nil {
+		t.Fatal(err)
 	}
-	// A steady rotation after the churn interns nothing and never
-	// sweeps: the table is left exactly as it is.
-	rotate()
-	keys, sweepAt := len(s.keys), s.sweepAt
-	for i := 0; i < 3; i++ {
-		rotate()
+	runKeys := len(s.keys)
+	for len(s.keys) <= maxInternedKeys {
+		key := "stale-" + strconv.Itoa(len(s.keys))
+		s.intern[key] = int32(len(s.keys))
+		s.keys = append(s.keys, key)
+		s.keyToBucket = append(s.keyToBucket, -1)
 	}
-	if len(s.keys) != keys || s.sweepAt != sweepAt {
-		t.Fatalf("steady rotations moved the table: %d keys (sweep at %d), then %d (sweep at %d)", keys, sweepAt, len(s.keys), s.sweepAt)
+	got, err := FormInto(ctx, ds, cfg, nil, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.keys) != runKeys || len(s.intern) != runKeys {
+		t.Fatalf("table past the cap kept %d keys (%d mapped), want the run's %d", len(s.keys), len(s.intern), runKeys)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("run after the reset differs from a fresh scratch's")
 	}
 }

@@ -14,16 +14,12 @@
 //
 // The intern table persists across runs: bucket keys are
 // deterministic byte strings, so steady-state traffic hits the table
-// and never re-materializes a key. Keys whose users have moved on
-// (ingest re-rates them into other buckets) are swept: once the table
-// has doubled since the last sweep, the keys no run has met for more
-// than about twice the gap traffic takes to come back to a key it
-// still uses are evicted, and the map is rebuilt from the survivors. A
-// steady workload adds no keys, so it never sweeps.
+// and never re-materializes a key. It is dropped and rebuilt when it
+// outgrows maxInternedKeys, bounding memory on pathological
+// many-dataset reuse.
 package core
 
 import (
-	"math/bits"
 	"sync"
 
 	"groupform/internal/dataset"
@@ -35,9 +31,9 @@ import (
 // allocations and steady state costs none.
 const arenaMinBlock = 1024
 
-// minSweepKeys is the smallest table a sweep doubles from, so a small
-// table is not rebuilt over a handful of stale keys.
-const minSweepKeys = 1024
+// maxInternedKeys bounds the persistent key intern table; beyond it
+// the table is rebuilt from empty at the next run.
+const maxInternedKeys = 1 << 18
 
 // arena is a block-chained bump allocator for result slices (bucket
 // score positions, completed top-k lists). take never moves memory
@@ -101,18 +97,11 @@ func (a *arena[T]) copyIn(src []T) []T {
 type Scratch struct {
 	// Persistent bucket-key interning: key bytes -> key id, the
 	// canonical string per id, and the per-run id -> bucket mapping
-	// (reset via touchedKeys between runs). lastRun[id] is the last
-	// run that met the key (runs counts begun runs), gaps[b] counts
-	// the re-uses since the last sweep whose gap, in runs, has bit
-	// length b, and sweepAt is the key count past which begin sweeps.
+	// (reset via touchedKeys between runs).
 	intern      map[string]int32
 	keys        []string
 	keyToBucket []int32
 	touchedKeys []int32
-	lastRun     []uint32
-	runs        uint32
-	gaps        [33]int
-	sweepAt     int
 
 	keyBuf  []byte
 	assign  []int32
@@ -147,72 +136,20 @@ func NewScratch() *Scratch { return &Scratch{} }
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // begin readies the scratch for one run: the per-run key mapping is
-// reset, the last run's key uses are recorded, the intern table is
-// swept if it has doubled, and the arenas rewind over their retained
-// blocks.
+// reset and the arenas rewind over their retained blocks.
 func (s *Scratch) begin() {
-	if s.intern == nil {
+	if s.intern == nil || len(s.keys) > maxInternedKeys {
 		s.intern = make(map[string]int32)
+		s.keys = s.keys[:0]
+		s.keyToBucket = s.keyToBucket[:0]
+		s.touchedKeys = s.touchedKeys[:0]
 	}
 	for _, id := range s.touchedKeys {
 		s.keyToBucket[id] = -1
-		if gap := s.runs - s.lastRun[id]; gap > 0 {
-			s.gaps[bits.Len32(gap)]++
-		}
-		s.lastRun[id] = s.runs
 	}
 	s.touchedKeys = s.touchedKeys[:0]
-	if len(s.keys) > s.sweepAt {
-		s.sweep()
-	}
-	s.runs++
 	s.scoreArena.reset()
 	s.itemArena.reset()
-}
-
-// sweep evicts the interned keys that have sat idle for twice the
-// re-use gap — the runs traffic takes to come back to a key it still
-// uses, a rotation through its configurations — and rebuilds the map
-// from the survivors, renumbering them densely. The gap is the 90th
-// percentile of the re-uses since the last sweep, rounded up to a
-// power of two: a key whose users re-rated into other buckets and that
-// comes back much later is rare, and must not stretch the window the
-// way the longest gap would. A sweep that has seen no re-use has
-// nothing to judge idleness by and keeps every key. Only begin calls
-// it, between runs, when every keyToBucket entry is already -1.
-func (s *Scratch) sweep() {
-	total := 0
-	for _, c := range s.gaps {
-		total += c
-	}
-	if total > 0 {
-		b, seen := 0, 0
-		for seen < total-total/10 {
-			seen += s.gaps[b]
-			b++
-		}
-		// Gaps of bit length b-1 are below 1<<(b-1); keep twice that.
-		window := uint64(1) << b
-		n := 0
-		for id, key := range s.keys {
-			if uint64(s.runs-s.lastRun[id]) < window {
-				s.keys[n], s.lastRun[n] = key, s.lastRun[id]
-				n++
-			}
-		}
-		if n < len(s.keys) {
-			clear(s.keys[n:])
-			s.keys = s.keys[:n]
-			s.keyToBucket = s.keyToBucket[:n]
-			s.lastRun = s.lastRun[:n]
-			s.intern = make(map[string]int32, n)
-			for id, key := range s.keys {
-				s.intern[key] = int32(id)
-			}
-		}
-	}
-	s.gaps = [33]int{}
-	s.sweepAt = 2 * max(len(s.keys), minSweepKeys)
 }
 
 // errSlice returns a nil-cleared length-n error slice.

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"sort"
 
 	"groupform/internal/gferr"
@@ -259,17 +260,23 @@ func (ds *Dataset) Upsert(rs []Rating) (*Dataset, UpsertResult, error) {
 			row.colIdx[p] = j
 			row.vals[p] = e.Value
 		}
-		for _, e := range old {
-			j, _ := nds.ItemIdxOf(e.Item)
-			counts[j]--
-			if lv.ok {
-				lv.add(j, e.Value, -1)
-			}
-		}
+		// An upsert never removes a rating, so merged holds every item
+		// of old, both in item order: one pass counts the items the
+		// batch added and moves the levels of the values it changed.
+		q := 0
 		for p, j := range row.colIdx {
+			v := row.vals[p]
+			if q < len(old) && old[q].Item == merged[p].Item {
+				if was := old[q].Value; lv.ok && math.Float64bits(was) != math.Float64bits(v) {
+					lv.add(j, was, -1)
+					lv.add(j, v, 1)
+				}
+				q++
+				continue
+			}
 			counts[j]++
 			if lv.ok {
-				lv.add(j, row.vals[p], 1)
+				lv.add(j, v, 1)
 			}
 		}
 		ov.nratings += len(merged) - len(old)
