@@ -39,16 +39,18 @@
 //
 // # Parallelism
 //
-// Setting Config.Workers to N >= 2 runs the formation pipeline —
-// preference lists, bucketizing, and group finalization — on a pool
-// of N workers (-1 means all CPUs). The result is byte-identical to
-// the serial path for every worker count — unconditionally under LM,
-// and under AV for exactly-representable weighted ratings (any
-// dyadic scale, including the usual 1-5 stars; see core.Config's
-// Workers field for the one last-ulp caveat on non-dyadic AV data) —
-// so Workers moves the wall clock, not the groups. LSOptions.Workers
-// likewise fans local-search restarts out. See docs/ARCHITECTURE.md
-// for the sharding strategy and determinism argument.
+// Setting Config.Workers to N >= 2 runs the parallel parts of the
+// formation pipeline — preference lists, the finalization of bucket
+// groups and pieces, and the merged group's forward top-k — on a pool
+// of N workers (-1 means all CPUs); bucketizing is one serial pass at
+// every worker count. The result is byte-identical to the serial path
+// for every worker count — unconditionally under LM, and under AV for
+// exactly-representable weighted ratings (any dyadic scale, including
+// the usual 1-5 stars; see core.Config's Workers field for the one
+// last-ulp caveat on non-dyadic AV data) — so Workers moves the wall
+// clock, not the groups. LSOptions.Workers likewise fans local-search
+// restarts out. See docs/ARCHITECTURE.md for where each worker pool
+// runs and the determinism argument.
 //
 // Beyond the greedy algorithms the registry serves the paper's
 // clustering baselines ("baseline-kendall", "baseline-kmeans",

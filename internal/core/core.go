@@ -96,16 +96,18 @@ type Config struct {
 	// but still honor Anytime on cancellation.
 	QualityTarget float64
 	// Workers sets the parallelism of the formation pipeline: 0 or 1
-	// selects the single-threaded reference path, N >= 2 shards
-	// preference-list construction, bucketizing and group
-	// finalization over N workers, and a negative value uses
-	// runtime.GOMAXPROCS(0). The output is byte-identical to the
-	// serial path for every worker count — unconditionally under LM,
-	// and under AV whenever every weight*rating is exactly
+	// selects the single-threaded reference path, N >= 2 runs
+	// preference-list construction, the finalization of the bucket
+	// groups and pieces, and the merged group's forward top-k over N
+	// workers, and a negative value uses runtime.GOMAXPROCS(0).
+	// Bucketizing is one serial pass at every worker count, so Workers
+	// never changes a bucket's scores. The output is byte-identical to
+	// the serial path for every worker count — unconditionally under
+	// LM, and under AV whenever every weight*rating is exactly
 	// representable (any dyadic rating scale; the merged group's
-	// chunked accumulation reassociates AV sums, which is otherwise
-	// deterministic per worker count but can drift from serial in the
-	// last ulp — see semantics.Scorer.Workers and
+	// chunked accumulation reassociates AV sums, which gives the same
+	// bits for every worker count >= 2 but can drift from serial in
+	// the last ulp — see semantics.Scorer.Workers and
 	// docs/ARCHITECTURE.md for the full determinism argument).
 	Workers int
 }
@@ -322,12 +324,13 @@ type bucket struct {
 }
 
 // Form runs the greedy group-formation algorithm selected by cfg.
-// With cfg.Workers >= 2 every phase — preference lists, bucketizing,
-// piece materialization and the merged group's top-k — runs on a
-// worker pool while producing byte-identical results to the serial
-// path (the shard merges replay the serial fold order). The context
-// is checked between phases and every few thousand users inside them;
-// cancellation returns an error wrapping gferr.ErrCanceled.
+// With cfg.Workers >= 2 the preference lists, the finalization of the
+// bucket groups and pieces, and the merged group's forward top-k run
+// on a worker pool; bucketizing stays one serial pass, so the result
+// is the serial path's (see Config.Workers for the one AV caveat).
+// The context is checked between phases and every few thousand users
+// inside them; cancellation returns an error wrapping
+// gferr.ErrCanceled.
 func Form(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, error) {
 	return FormWithPrefs(ctx, ds, cfg, nil)
 }
@@ -375,13 +378,7 @@ func (s *Scratch) run(ctx context.Context, ds *dataset.Dataset, cfg Config, pref
 	if err != nil {
 		return nil, err
 	}
-	workers := cfg.EffectiveWorkers()
-	var buckets []*bucket
-	if par.Enabled(workers) {
-		buckets = bucketizeParallel(prefs, cfg, workers, s)
-	} else {
-		buckets = s.bucketize(prefs, cfg)
-	}
+	buckets := s.bucketize(prefs, cfg)
 	if err := gferr.Ctx(ctx); err != nil {
 		return nil, err
 	}
@@ -397,7 +394,7 @@ func (s *Scratch) run(ctx context.Context, ds *dataset.Dataset, cfg Config, pref
 	// the parallel path fans the bucket groups out first and leaves
 	// the merged remainder to the same loop.
 	done := 0
-	if par.Enabled(workers) {
+	if workers := cfg.EffectiveWorkers(); par.Enabled(workers) {
 		done, err = s.fanOut(ctx, cfg, tasks, groups, workers)
 	}
 	if err == nil {
@@ -849,11 +846,11 @@ func (s *Scratch) bucketize(prefs []rank.PrefList, cfg Config) []*bucket {
 
 // fillMembers carves every bucket's member slice out of one shared
 // arena: offsets come from the per-bucket counts, and assign holds
-// each pref's global bucket index in pref order, so each bucket's
-// members land in exactly the order the serial fold met them (a flat
-// array rather than a walk callback — the closure was the warm path's
-// last heap allocation). Returns stable pointers into the bucket
-// backing array.
+// each pref's bucket index in pref order, so each bucket's members
+// land in the order bucketize's fold met them, ascending by user (a
+// flat array rather than a walk callback — the closure was the warm
+// path's last heap allocation). Returns stable pointers into the
+// bucket backing array.
 //
 //gfvet:zeroalloc
 func (s *Scratch) fillMembers(prefs []rank.PrefList, bs []bucket, counts []int32, assign []int32) []*bucket {
@@ -908,9 +905,9 @@ func (s *Scratch) takeScores(n int) []float64 {
 // the (top item, score) pair — members' list tails differ, so only
 // position 0 is stored and the final list is completed later. The
 // scores are always a copy (weighted under AV), because the fold must
-// not mutate the caller's lists and the parallel merge later replays
-// the original scores; with a scratch the copy is carved from the
-// score arena and costs no allocation once warm.
+// not mutate the caller's lists, which an Engine shares between
+// concurrent runs; the copy is carved from the score arena and costs
+// no allocation once warm.
 //
 //gfvet:zeroalloc
 func (s *Scratch) seedBucket(p rank.PrefList, cfg Config) ([]dataset.ItemID, []float64) {
@@ -918,7 +915,7 @@ func (s *Scratch) seedBucket(p rank.PrefList, cfg Config) ([]dataset.ItemID, []f
 	if cfg.Semantics == semantics.LM && cfg.Aggregation == semantics.Max {
 		items, scores = items[:1], scores[:1]
 	}
-	dst := s.takeScores(len(scores))
+	dst := s.scoreArena.take(len(scores))
 	if cfg.Semantics == semantics.AV {
 		w := cfg.weight(p.User)
 		for j, v := range scores {
@@ -932,10 +929,10 @@ func (s *Scratch) seedBucket(p rank.PrefList, cfg Config) ([]dataset.ItemID, []f
 
 // foldBucketMember folds a joining member's scores into the bucket's
 // stored positions (LM-MAX buckets store a single position): min for
-// LM, weighted sum for AV. This single fold is executed by the serial
-// pass, by the parallel shard passes, and again by the shard merge
-// when it replays cross-shard joins — keeping every path's arithmetic
-// literally the same code.
+// LM, weighted sum for AV. bucketize runs it for every member after a
+// bucket's first, in preference-list order, so an AV position is the
+// left-to-right sum over the members in ascending user order at every
+// worker count; BucketizeShard runs the same pass over its slice.
 func foldBucketMember(scores []float64, p rank.PrefList, cfg Config) {
 	switch cfg.Semantics {
 	case semantics.LM:

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"groupform/internal/dataset"
-	"groupform/internal/rank"
 	"groupform/internal/semantics"
 	"groupform/internal/synth"
 )
@@ -90,6 +89,38 @@ func TestFormParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestFormParallelNonDyadic runs the same byte comparison on a 0.1
+// rating grid with a nonzero Missing, where an AV sum taken in another
+// order can round differently: every worker count must still give the
+// serial bits. The catalog has 9 buckets under every key, so L=6 takes
+// the heap branch and L=40 the split branch.
+func TestFormParallelNonDyadic(t *testing.T) {
+	ds := nonDyadicDataset(t)
+	for _, sem := range []semantics.Semantics{semantics.LM, semantics.AV} {
+		for _, agg := range []semantics.Aggregation{
+			semantics.Max, semantics.Min, semantics.Sum, semantics.WeightedSumLog,
+		} {
+			for _, l := range []int{6, 40} {
+				cfg := Config{K: 3, L: l, Semantics: sem, Aggregation: agg, Missing: 0.05}
+				serial, err := Form(context.Background(), ds, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range []int{1, 2, 8} {
+					c := cfg
+					c.Workers = w
+					got, err := Form(context.Background(), ds, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s-%s/l=%d/buckets=%d/workers=%d", sem, agg, l, serial.Buckets, w)
+					requireSameResult(t, label, serial, got)
+				}
+			}
+		}
+	}
+}
+
 // TestFormParallelSplitBranch drives the buckets <= L branch (piece
 // splitting) explicitly with a group budget above the bucket count.
 func TestFormParallelSplitBranch(t *testing.T) {
@@ -147,64 +178,6 @@ func TestFormParallelWeighted(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameResult(t, fmt.Sprintf("weighted/workers=%d", w), serial, got)
-	}
-}
-
-// bucketize hashes every user's preference list into intermediate
-// groups under the configured key (step 1 of the framework), in
-// first-seen order, on a throwaway scratch — the serial reference
-// entry point the parallel parity tests pin bucketizeParallel against.
-func bucketize(prefs []rank.PrefList, cfg Config) []*bucket {
-	s := NewScratch()
-	s.begin()
-	return s.bucketize(prefs, cfg)
-}
-
-// TestBucketizeParallelMatchesSerial compares the intermediate
-// groups directly: same keys, same member order, same score bits.
-func TestBucketizeParallelMatchesSerial(t *testing.T) {
-	ds, err := synth.YahooLike(2500, 300, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sem := range []semantics.Semantics{semantics.LM, semantics.AV} {
-		for _, agg := range []semantics.Aggregation{semantics.Max, semantics.Min, semantics.Sum} {
-			cfg := Config{K: 5, L: 10, Semantics: sem, Aggregation: agg}
-			prefs, err := rank.AllTopK(ds, cfg.K, cfg.Missing)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial := bucketize(prefs, cfg)
-			// Re-rank: the parallel pass gets lists of its own, so it
-			// cannot read anything the serial pass left in them.
-			prefs2, err := rank.AllTopK(ds, cfg.K, cfg.Missing)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range []int{2, 3, 8, 64} {
-				scr := NewScratch()
-				scr.begin()
-				got := bucketizeParallel(prefs2, cfg, w, scr)
-				if len(got) != len(serial) {
-					t.Fatalf("%s-%s/workers=%d: %d buckets, want %d", sem, agg, w, len(got), len(serial))
-				}
-				byKey := make(map[string]*bucket, len(got))
-				for _, gb := range got {
-					byKey[gb.key] = gb
-				}
-				for _, sb := range serial {
-					gb, ok := byKey[sb.key]
-					if !ok {
-						t.Fatalf("%s-%s/workers=%d: missing bucket %q", sem, agg, w, sb.key)
-					}
-					if !reflect.DeepEqual(sb.members, gb.members) ||
-						!reflect.DeepEqual(sb.items, gb.items) ||
-						!reflect.DeepEqual(sb.scores, gb.scores) {
-						t.Fatalf("%s-%s/workers=%d: bucket %q differs", sem, agg, w, sb.key)
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -11,25 +11,25 @@ import (
 	"groupform/internal/semantics"
 )
 
-// This file is the distributed face of the greedy framework: the
-// same three phases run() executes in one process — bucketize, merge,
-// finalize — split at the two points where GRD is naturally
-// partitionable over users. A shard bucketizes its resident slice
-// (BucketizeShard), the router merges the per-shard buckets exactly
-// the way bucketizeParallel merges its in-process shard passes
-// (MergeShardBuckets), and finalization runs run()'s own plan and
-// per-group finalizer with every rating probe routed back through a
-// ScoreOracle — locally for tests, over HTTP fan-out in
-// internal/shard.
+// This file is the distributed face of the greedy framework: run()'s
+// single bucketize pass and its finalization, split at the point
+// where GRD is naturally partitionable over users. A shard bucketizes
+// its resident slice (BucketizeShard), the router merges the
+// per-shard buckets (MergeShardBuckets), and finalization runs run()'s
+// own plan and per-group finalizer with every rating probe routed back
+// through a ScoreOracle — locally for tests, over HTTP fan-out in
+// internal/shard. MergeShardBuckets is the only code that merges
+// buckets built over separate user ranges; run() never splits its
+// pass.
 //
 // Parity contract (pinned by TestShardedFormParity,
 // TestShardedFormParitySplitBranch and the internal/shard router
 // tests): with contiguous ascending user shards
 // (dataset.ShardUsers), the merged result is byte-identical to
 // Form(ds, cfg) under LM for every shard count — min is associative
-// and the merge replays the serial fold's keep-first rule. Under AV
-// the bucket scores and group sums reassociate the serial member
-// order into per-shard partials, so equality holds up to float
+// and the merge keeps the first minimum, as the serial fold does.
+// Under AV the bucket scores and group sums reassociate the serial
+// member order into per-shard partials, so equality holds up to float
 // summation reassociation (exactly representable rating scales — the
 // paper's integer stars — stay byte-identical in practice); see
 // docs/ARCHITECTURE.md, "The scatter-gather tier".
@@ -62,9 +62,10 @@ type ShardPass struct {
 // reaches a neighbor), nothing aliasing pref-list caches or scratch
 // arenas. prefs follows the FormWithPrefs contract (shared,
 // read-only, built for (cfg.K, cfg.Missing) over ds in user order);
-// nil builds the lists internally. The fold is the serial reference
-// fold, so a shard's buckets are literally the shard passes
-// bucketizeParallel would have produced for the same user range.
+// nil builds the lists internally. The pass is run()'s own serial
+// bucketize at every cfg.Workers, so each bucket's scores fold the
+// shard's members in ascending user order: LM keeps the first minimum,
+// AV sums left to right.
 func BucketizeShard(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList) (*ShardPass, error) {
 	prefs, err := prepare(ctx, ds, cfg, prefs)
 	if err != nil {
@@ -105,17 +106,18 @@ func BucketizeShard(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs 
 }
 
 // MergeShardBuckets merges per-shard bucket lists — indexed by shard,
-// ascending — into the global bucket list, replaying exactly the
-// cross-shard joins bucketizeParallel's merge performs: the
-// first-seen shard's bucket is adopted, later shards' positions fold
-// in element-wise (min under LM, the keep-first strict-< rule; sum of
-// partials under AV), members concatenate in shard order. With
-// contiguous ascending shards that concatenation order is global user
-// order, and the first-seen enumeration order is the serial fold's
-// first-seen order. Inputs are not mutated; adopted buckets clone
-// their score and member slices. Callers must present the passes in
-// shard order regardless of response arrival order — that is what
-// makes the merge (and the AV partial-sum order) canonical.
+// ascending — into the global bucket list: the first shard to list a
+// key donates its bucket, and each later shard's positions fold in
+// element-wise, in shard order. LM keeps the first minimum (strict <,
+// so a tie keeps the earlier shard's bits, as the serial fold keeps
+// the earlier member's); AV adds each shard's partial sum to the
+// running total in shard order. Members concatenate in shard order.
+// With contiguous ascending shards that concatenation order is global
+// user order, and the first-seen enumeration order is the serial
+// pass's first-seen order. Inputs are not mutated; adopted buckets
+// clone their score and member slices. Callers must present the
+// passes in shard order regardless of response arrival order — that
+// is what makes the merge (and the AV partial-sum order) canonical.
 func MergeShardBuckets(passes [][]ShardBucket, cfg Config) []ShardBucket {
 	n := 0
 	for _, pass := range passes {

@@ -17,6 +17,16 @@ import (
 	"groupform/internal/synth"
 )
 
+// bucketize hashes every user's preference list into intermediate
+// groups under the configured key (step 1 of the framework), in
+// first-seen order, on a throwaway scratch — the serial reference the
+// shard-merge tests pin MergeShardBuckets against.
+func bucketize(prefs []rank.PrefList, cfg Config) []*bucket {
+	s := NewScratch()
+	s.begin()
+	return s.bucketize(prefs, cfg)
+}
+
 // shardedForm runs the full scatter-gather pipeline in-process: cut
 // ds into S contiguous shards, bucketize each shard independently,
 // merge in shard order, and finalize through the LocalOracle — the

@@ -260,7 +260,7 @@ func Figure6c(o Options) (Exhibit, error) {
 // directly comparable — every worker count forms byte-identical
 // groups, so the sweep measures nothing but the pipeline itself. The
 // speedup ceiling is min(workers, GOMAXPROCS); on a single-CPU host
-// the curve is flat (modulo sharding overhead) by construction.
+// the curve is flat (modulo fan-out overhead) by construction.
 func ScalingWorkers(o Options) (Exhibit, error) {
 	p := scaleDefaults(o.Scale)
 	ds, err := scaleDataset(p.n, p.m, o.Seed)

@@ -8,11 +8,11 @@
 // caller's contract — the helpers here only make the race-free part
 // structural:
 //
-//   - Ranges produces one contiguous shard per worker. Safe when the
-//     caller's merge visits shards in ascending order and replays
-//     per-element operations in element order (see core.bucketize's
-//     parallel merge), which makes the result independent of where
-//     the shard boundaries fall.
+//   - Ranges produces one contiguous, ascending range per part. Its
+//     callers need no merge: rank.AllTopKParallel writes each user's
+//     list at the user's own index, and dataset.ShardUsers cuts the
+//     user rows into the scatter-gather tier's shards (whose buckets
+//     core.MergeShardBuckets merges in shard order).
 //   - Chunks produces a grid that depends only on the input size,
 //     never on the worker count, so chunk-indexed reductions merge
 //     identically for every worker count (see semantics.Scorer.TopK).
@@ -64,8 +64,8 @@ func Do(n, workers int, fn func(i int)) {
 // [lo, hi) ranges in ascending order. Earlier ranges are at most one
 // element larger than later ones; with workers >= n every range is a
 // single element. The boundary placement depends on the worker count,
-// so callers must merge range results order-insensitively or replay
-// element-order operations at the merge (package comment).
+// so a caller whose output must not depend on it writes each result
+// at its element's own index (package comment).
 func Ranges(n, workers int) [][2]int {
 	if workers > n {
 		workers = n

@@ -1,11 +1,14 @@
 // Candidate accumulation for Scorer.TopK. One pass over the members'
 // ratings accumulates every candidate item's min, weighted sum and
-// rater count, from which both semantics follow in O(total ratings) —
-// crucial for the merged l-th group of the greedy algorithms, whose
-// member count can approach n. For large groups the pass is fanned
-// out over a worker pool on a fixed chunk grid and the chunk partials
-// are merged in chunk order; see Scorer.Workers for the determinism
-// contract.
+// rater count, from which both semantics follow in O(total ratings).
+// The greedy algorithms run it to complete LM-MAX bucket lists and to
+// score a merged l-th group that holds fewer ratings than the users it
+// excludes, such as the 1k–3.5k-user remainders of a clustered catalog
+// at large L; a remainder that approaches n is scored by its
+// complement instead (ComplementTopKInto). For groups above one chunk
+// the pass is fanned out over a worker pool on a fixed chunk grid and
+// the chunk partials are merged in chunk order; see Scorer.Workers for
+// the determinism contract.
 //
 // The accumulator is index-space: flat arrays keyed by
 // dataset.ItemIdx, fed directly from CSR rows. No hashing, no per-item

@@ -51,6 +51,62 @@ func TestTopKParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestTopKParallelNonDyadic runs the chunked accumulation where it is
+// not exact: on a 0.1 rating grid, chunk-order AV sums may differ from
+// the serial fold in the last ulp. Every worker count >= 2 runs the
+// same chunk grid and merge order, so AV must give the same bits at 2,
+// 4 and 16 workers; LM, whose min never rounds, must equal the serial
+// pass.
+func TestTopKParallelNonDyadic(t *testing.T) {
+	src, err := synth.YahooLike(2*topkChunk+300, 300, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tenths []dataset.Rating
+	for r, u := range src.Users() {
+		cols, vals := src.RowIdx(dataset.UserIdx(r))
+		for p, j := range cols {
+			tenths = append(tenths, dataset.Rating{User: u, Item: src.ItemAt(j), Value: vals[p] / 10})
+		}
+	}
+	ds, err := dataset.FromRatings(dataset.Scale{Min: 0, Max: 1}, tenths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := ds.Users()
+	for _, missing := range []float64{0, 0.05} {
+		serial := Scorer{DS: ds, Missing: missing}
+		lmItems, lmScores, err := serial.TopK(LM, members, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var avItems []dataset.ItemID
+		var avScores []float64
+		for _, workers := range []int{2, 4, 16} {
+			sc := Scorer{DS: ds, Missing: missing, Workers: workers}
+			label := fmt.Sprintf("missing=%v/workers=%d", missing, workers)
+			items, scores, err := sc.TopK(LM, members, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(items, lmItems) || !reflect.DeepEqual(scores, lmScores) {
+				t.Fatalf("%s: LM %v %v, serial %v %v", label, items, scores, lmItems, lmScores)
+			}
+			items, scores, err = sc.TopK(AV, members, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if avItems == nil {
+				avItems, avScores = items, scores
+				continue
+			}
+			if !reflect.DeepEqual(items, avItems) || !reflect.DeepEqual(scores, avScores) {
+				t.Fatalf("%s: AV %v %v, workers=2 %v %v", label, items, scores, avItems, avScores)
+			}
+		}
+	}
+}
+
 // TestTopKParallelSmallGroupStaysSerial checks the threshold: groups
 // at or below one chunk take the serial path even with Workers set
 // (identical results either way, but the fast path matters for the

@@ -72,7 +72,7 @@ func requestWorkers(requested, defaultWorkers int) int {
 		workers = requested
 	}
 	// Clamp the fan-out to the hardware: worker counts beyond the CPU
-	// count only add shard overhead (results are identical for every
+	// count only add fan-out overhead (results are identical for every
 	// count), and an unbounded client value would let one request
 	// spawn per-user goroutines — the pile-up the inflight semaphore
 	// exists to prevent.

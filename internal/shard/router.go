@@ -125,8 +125,8 @@ func (rt *Router) routeForm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Validate the parameters before burning a fan-out; 0 default
-	// workers — the router does no local formation, worker counts
-	// only steer the shards' bucketize.
+	// workers — the router does no local formation, and a worker
+	// count only sizes the shards' cold preference-list builds.
 	cfg, err := req.Config(0)
 	if err != nil {
 		server.WriteSolverError(w, err)
