@@ -4,8 +4,9 @@
 // single-node POST /form contract by fanning the request out to
 // every shard (POST /shard/buckets), merging the candidate buckets
 // through the solver's own merge kernel, and finalizing with group
-// scores reassembled from per-shard partial stats (POST
-// /shard/scores). Under LM semantics the routed answer is
+// scores reassembled from per-shard partial stats, every probe of the
+// plan asked in one POST /shard/scores per shard: two binary calls
+// per shard and request. Under LM semantics the routed answer is
 // byte-identical to one groupformd over the whole dataset; under AV
 // it matches up to floating-point summation order (byte-identical on
 // integer rating scales). See docs/ARCHITECTURE.md, "The

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"slices"
 
@@ -171,12 +172,45 @@ type ScoreOracle interface {
 	GroupTopK(ctx context.Context, sem semantics.Semantics, members []dataset.UserID, k int) ([]dataset.ItemID, []float64, error)
 }
 
+// Probe is one rating question of a finalization plan: with Items
+// set, the group score of each listed item over Members (GroupScores,
+// a refold piece); with Items nil, the group's top-K list (GroupTopK,
+// an LM-MAX or short-listed bucket or the merged remainder). The
+// groups of one plan are disjoint, so a plan's probes list each user
+// at most once.
+type Probe struct {
+	Members []dataset.UserID
+	Items   []dataset.ItemID
+	K       int
+}
+
+// Answer is a Probe's answer as GroupScores or GroupTopK returns it:
+// Scores aligned with the probe's Items, or a top-k list in Items and
+// Scores.
+type Answer struct {
+	Items  []dataset.ItemID
+	Scores []float64
+}
+
+// BatchOracle is a ScoreOracle that answers a whole plan in one round:
+// Batch returns one Answer per probe, in order. FinalizeMerged hands
+// it every probe of its plan at once; internal/shard sends the list to
+// each shard in a single call.
+type BatchOracle interface {
+	ScoreOracle
+	Batch(ctx context.Context, sem semantics.Semantics, probes []Probe) ([]Answer, error)
+}
+
 // FinalizeMerged is run() from the bucket list onward: the same plan
 // and the same per-group finalizer, with every rating probe routed
 // through the oracle instead of a local Dataset — that shared code is
-// the parity argument's other half. Groups finalize serially whatever
-// cfg.Workers holds, and a failed probe or a cancellation returns a
-// nil Result with the error.
+// the parity argument's other half. finalizeTask runs twice per group
+// that needs a rating: first against a recorder that lists the probe
+// it asks, then, once every probe of the plan is answered, against
+// that answer. A BatchOracle gets the whole list in one Batch call;
+// any other oracle is asked probe by probe, in plan order. Groups
+// finalize serially whatever cfg.Workers holds, and a failed probe or
+// a cancellation returns a nil Result with the error.
 func FinalizeMerged(ctx context.Context, cfg Config, merged []ShardBucket, o ScoreOracle) (*Result, error) {
 	if err := cfg.validateParams(); err != nil {
 		return nil, err
@@ -205,15 +239,86 @@ func FinalizeMerged(ctx context.Context, cfg Config, merged []ShardBucket, o Sco
 	}
 	tasks := NewScratch().plan(buckets, cfg, nil)
 	res := &Result{Groups: make([]Group, len(tasks)), Buckets: len(buckets), Algorithm: cfg.AlgorithmName()}
+	var rec probeRecorder
+	var asked []int
 	for i, t := range tasks {
-		g, err := finalizeTask(ctx, cfg, t, o)
+		g, err := finalizeTask(ctx, cfg, t, &rec)
+		if errors.Is(err, errProbeRecorded) {
+			asked = append(asked, i)
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
 		res.Groups[i] = g
+	}
+	answers, err := askAll(ctx, cfg.Semantics, o, rec.probes)
+	if err != nil {
+		return nil, err
+	}
+	for p, i := range asked {
+		if res.Groups[i], err = finalizeTask(ctx, cfg, tasks[i], answered(answers[p])); err != nil {
+			return nil, err
+		}
+	}
+	for _, g := range res.Groups {
 		res.Objective += g.Satisfaction
 	}
 	return res, nil
+}
+
+// errProbeRecorded stops finalizeTask's first pass at a group's probe.
+// It never leaves FinalizeMerged.
+var errProbeRecorded = errors.New("core: probe recorded")
+
+// probeRecorder is the first pass's oracle: it lists each probe and
+// answers none.
+type probeRecorder struct{ probes []Probe }
+
+func (r *probeRecorder) GroupScores(_ context.Context, _ semantics.Semantics, members []dataset.UserID, items []dataset.ItemID) ([]float64, error) {
+	r.probes = append(r.probes, Probe{Members: members, Items: items})
+	return nil, errProbeRecorded
+}
+
+func (r *probeRecorder) GroupTopK(_ context.Context, _ semantics.Semantics, members []dataset.UserID, k int) ([]dataset.ItemID, []float64, error) {
+	r.probes = append(r.probes, Probe{Members: members, K: k})
+	return nil, nil, errProbeRecorded
+}
+
+// answered is the second pass's oracle for one group: the answer to the
+// probe the group recorded.
+type answered Answer
+
+func (a answered) GroupScores(context.Context, semantics.Semantics, []dataset.UserID, []dataset.ItemID) ([]float64, error) {
+	return a.Scores, nil
+}
+
+func (a answered) GroupTopK(context.Context, semantics.Semantics, []dataset.UserID, int) ([]dataset.ItemID, []float64, error) {
+	return a.Items, a.Scores, nil
+}
+
+// askAll answers probes through o: in one Batch call when o batches,
+// else one GroupScores or GroupTopK call per probe, in order.
+func askAll(ctx context.Context, sem semantics.Semantics, o ScoreOracle, probes []Probe) ([]Answer, error) {
+	if len(probes) == 0 {
+		return nil, nil
+	}
+	if b, ok := o.(BatchOracle); ok {
+		return b.Batch(ctx, sem, probes)
+	}
+	answers := make([]Answer, len(probes))
+	for i, p := range probes {
+		var err error
+		if p.Items != nil {
+			answers[i].Scores, err = o.GroupScores(ctx, sem, p.Members, p.Items)
+		} else {
+			answers[i].Items, answers[i].Scores, err = o.GroupTopK(ctx, sem, p.Members, p.K)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return answers, nil
 }
 
 // BoundContribution is one shard's component of the anytime bound

@@ -164,7 +164,7 @@ func TestItemScoreIdxMatchesItemScore(t *testing.T) {
 // TestItemScoreIdxMatchesGroupStats pins the single node's refold
 // probe to the router's: on a 0.1 rating grid, which float64 cannot
 // represent, ItemScoreIdx must equal the Score of the members'
-// GroupStatsFor record bit for bit — one formula, WSum + (totalW −
+// GroupStats record bit for bit — one formula, WSum + (totalW −
 // WRaters)·Missing under AV, whatever the missing value.
 func TestItemScoreIdxMatchesGroupStats(t *testing.T) {
 	b := dataset.NewBuilder(dataset.Scale{Min: 0, Max: 1})
@@ -194,20 +194,18 @@ func TestItemScoreIdxMatchesGroupStats(t *testing.T) {
 		for _, wmap := range []map[dataset.UserID]float64{nil, weights} {
 			for _, missing := range []float64{0, 0.05, 0.3} {
 				sc := Scorer{DS: ds, Missing: missing, Weights: wmap}
-				stats, err := sc.GroupStatsFor(members, ds.Items())
-				if err != nil {
-					t.Fatal(err)
-				}
+				var acc StatsAcc
+				sc.GroupStats(&acc, members)
 				totalW := 0.0
 				for _, u := range members {
 					totalW += sc.Weight(u)
 				}
 				for _, sem := range []Semantics{LM, AV} {
-					for j := range ds.Items() {
-						want := stats[j].Score(sem, len(members), totalW, missing)
+					for j, it := range ds.Items() {
+						want := acc.Of(it).Score(sem, len(members), totalW, missing)
 						got := sc.ItemScoreIdx(sem, midx, dataset.ItemIdx(j))
 						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("group %d weighted=%v missing=%v %s item %d: ItemScoreIdx %v, GroupStatsFor score %v",
+							t.Fatalf("group %d weighted=%v missing=%v %s item %d: ItemScoreIdx %v, GroupStats score %v",
 								g, wmap != nil, missing, sem, j, got, want)
 						}
 					}

@@ -1,8 +1,10 @@
 package semantics
 
 import (
+	"cmp"
+	"slices"
+
 	"groupform/internal/dataset"
-	"groupform/internal/gferr"
 )
 
 // ItemStats is one item's partial score accumulation over a subset of
@@ -27,20 +29,21 @@ import (
 // an exact rating grid (dataset.Levels.Exact), where every
 // association of the sum above rounds to the same bits.
 //
-// Its JSON encoding is the /shard/scores wire record.
+// It is the /shard/scores wire record: internal/wire carries each
+// field as is, in a fixed 32-byte layout.
 type ItemStats struct {
 	// Item is the item's ID.
-	Item dataset.ItemID `json:"item"`
+	Item dataset.ItemID
 	// Min is the minimum rating among this subset's raters of Item.
 	// It is meaningful only when Count > 0 and reads 0 otherwise, so
-	// every record encodes (JSON has no +Inf).
-	Min float64 `json:"min"`
+	// a record nobody rated has one encoding.
+	Min float64
 	// Count is the number of subset members who rated Item.
-	Count int `json:"count"`
+	Count int
 	// WSum is the weighted rating sum over this subset's raters.
-	WSum float64 `json:"wsum"`
+	WSum float64
 	// WRaters is the summed weight of this subset's raters.
-	WRaters float64 `json:"wraters"`
+	WRaters float64
 }
 
 // Merge folds o — the same item's stats over a later, disjoint part of
@@ -102,73 +105,54 @@ func TopKFromStats(sem Semantics, stats []ItemStats, members int, totalW, missin
 	return items, scores
 }
 
-// checkResident rejects members unknown to the dataset. On a shard
-// slice such a member means the router routed a user to the wrong
-// shard, and silently scoring them as all-Missing would corrupt the
-// merged group scores instead of surfacing the topology bug.
-func (sc Scorer) checkResident(members []dataset.UserID) error {
-	for _, u := range members {
-		if _, ok := sc.DS.UserIdxOf(u); !ok {
-			return gferr.BadConfigf("semantics: member %d is not in the dataset", u)
-		}
-	}
-	return nil
+// StatsAcc holds one group's per-item ItemStats records in an
+// index-space accumulator that is reused from group to group, so a
+// shard answers a whole batch of gather probes with arrays sized to
+// the catalog once. The zero value is ready to use; a StatsAcc must
+// not be used from two goroutines at once.
+type StatsAcc struct {
+	ds *dataset.Dataset
+	da denseAcc
 }
 
-// GroupStats accumulates per-item partial stats over the members'
-// rated items, returned in ascending item-index order. Members unknown
-// to the dataset are rejected (see checkResident).
-func (sc Scorer) GroupStats(members []dataset.UserID) ([]ItemStats, error) {
-	if err := sc.checkResident(members); err != nil {
-		return nil, err
-	}
-	// A fresh accumulator rather than a denseAccPool lease: leasing
-	// parks a catalog-sized array set in the pool per concurrent
-	// stats request, which measurably raised a shard's peak RSS.
-	m := sc.DS.NumItems()
-	da := new(denseAcc)
-	da.ensure(m)
-	sc.accumulateIdx(da, members)
-	out := make([]ItemStats, 0, len(da.touched))
-	for j := range dataset.ItemIdx(m) {
-		if da.count[j] > 0 {
-			out = append(out, da.stats(sc.DS, j))
+// GroupStats folds the members' ratings into acc, replacing the group
+// it held, and returns how many of the members sc.DS holds. The others
+// contribute nothing: a shard is asked about a whole group and answers
+// for its residents, and the router checks that the resident counts of
+// all shards sum to the group size. Each item's record folds the
+// residents in member order, as topKDense's accumulator does.
+func (sc Scorer) GroupStats(acc *StatsAcc, members []dataset.UserID) int {
+	ds := sc.DS
+	acc.da.clear()
+	acc.da.ensure(ds.NumItems())
+	acc.ds = ds
+	residents := 0
+	for _, u := range members {
+		if _, ok := ds.UserIdxOf(u); ok {
+			residents++
 		}
 	}
-	return out, nil
+	sc.accumulateIdx(&acc.da, members)
+	slices.SortFunc(acc.da.touched, func(a, b dataset.ItemIdx) int {
+		return cmp.Compare(ds.ItemAt(a), ds.ItemAt(b))
+	})
+	return residents
 }
 
-// GroupStatsFor accumulates partial stats for exactly the given items,
-// aligned positionally with the input; an item no member rated, or one
-// the dataset does not know, reports Count 0 and Min 0. This is the
-// probe-mode companion of GroupStats: the router asks each shard for
-// the stats of a fixed item list when refolding a bucket piece's
-// stored positions. Members unknown to the dataset are rejected (see
-// checkResident).
-func (sc Scorer) GroupStatsFor(members []dataset.UserID, items []dataset.ItemID) ([]ItemStats, error) {
-	if err := sc.checkResident(members); err != nil {
-		return nil, err
+// Rated is the number of items the group's residents rated.
+func (acc *StatsAcc) Rated() int { return len(acc.da.touched) }
+
+// At returns the record of the i-th rated item, in ascending item ID
+// order, 0 <= i < Rated().
+func (acc *StatsAcc) At(i int) ItemStats {
+	return acc.da.stats(acc.ds, acc.da.touched[i])
+}
+
+// Of returns item's record. An item no resident rated, or one the
+// dataset does not know, reports Count 0 and Min 0.
+func (acc *StatsAcc) Of(item dataset.ItemID) ItemStats {
+	if j, ok := acc.ds.ItemIdxOf(item); ok && acc.da.count[j] > 0 {
+		return acc.da.stats(acc.ds, j)
 	}
-	type probe struct {
-		q int
-		j dataset.ItemIdx
-	}
-	out := make([]ItemStats, len(items))
-	probes := make([]probe, 0, len(items))
-	for q, it := range items {
-		out[q].Item = it
-		if j, ok := sc.DS.ItemIdxOf(it); ok {
-			probes = append(probes, probe{q, j})
-		}
-	}
-	for _, u := range members {
-		r, _ := sc.DS.UserIdxOf(u)
-		w := sc.Weight(u)
-		for _, p := range probes {
-			if v, rated := sc.DS.RatingIdx(r, p.j); rated {
-				out[p.q].Merge(ItemStats{Min: v, Count: 1, WSum: w * v, WRaters: w})
-			}
-		}
-	}
-	return out, nil
+	return ItemStats{Item: item}
 }

@@ -1,27 +1,25 @@
 package semantics
 
 import (
-	"encoding/json"
-	"errors"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"groupform/internal/dataset"
-	"groupform/internal/gferr"
 	"groupform/internal/synth"
 )
 
 // TestGroupStatsPartitionMatchesTopK is the decomposition contract the
 // scatter-gather tier stands on: cut a member list into contiguous
-// parts, take each part's GroupStats, Merge them by item in part
-// order, and TopKFromStats over the result is Scorer.TopK over the
-// whole list, bit for bit — for both semantics, with and without an
-// imputed Missing, and at k = NumItems, which forces padding. The
-// parts' probe-mode GroupStatsFor, merged positionally into zero
-// records, scores every catalog item (and an unknown one) exactly
-// like ItemScore.
+// parts, take each part's GroupStats records, Merge them by item in
+// part order, and TopKFromStats over the result is Scorer.TopK over
+// the whole list, bit for bit — for both semantics, with and without
+// an imputed Missing, and at k = NumItems, which forces padding. The
+// parts' records for a listed item (StatsAcc.Of), merged positionally
+// into zero records, score every catalog item (and an unknown one)
+// exactly like ItemScore. One accumulator serves every part, as one
+// serves a shard's whole batch.
 func TestGroupStatsPartitionMatchesTopK(t *testing.T) {
 	ds, err := synth.YahooLike(600, 80, 5)
 	if err != nil {
@@ -47,20 +45,20 @@ func TestGroupStatsPartitionMatchesTopK(t *testing.T) {
 		at := map[dataset.ItemID]int{}
 		probed := make([]ItemStats, len(probe))
 		lo := 0
+		var acc StatsAcc
 		for _, c := range cuts {
-			part, err := Scorer{DS: ds}.GroupStats(members[lo : c+1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			partProbe, err := Scorer{DS: ds}.GroupStatsFor(members[lo:c+1], probe)
-			if err != nil {
-				t.Fatal(err)
+			if got := (Scorer{DS: ds}).GroupStats(&acc, members[lo:c+1]); got != c+1-lo {
+				t.Fatalf("GroupStats counted %d residents of %d", got, c+1-lo)
 			}
 			lo = c + 1
-			for q, st := range partProbe {
-				probed[q].Merge(st)
+			for q, it := range probe {
+				probed[q].Merge(acc.Of(it))
 			}
-			for _, st := range part {
+			for i := range acc.Rated() {
+				st := acc.At(i)
+				if i > 0 && st.Item <= acc.At(i-1).Item {
+					t.Fatalf("records out of item order at %d: %d after %d", i, st.Item, acc.At(i-1).Item)
+				}
 				if p, ok := at[st.Item]; ok {
 					merged[p].Merge(st)
 					continue
@@ -102,7 +100,7 @@ func sameBits(a, b []float64) bool {
 
 // TestGroupStatsForUnratedEncodes pins the zero record: an item no
 // member rated, and one the dataset does not know, report Count 0 and
-// Min 0, so the probe answer always encodes as JSON.
+// Min 0, so a record nobody rated has one encoding on the wire.
 func TestGroupStatsForUnratedEncodes(t *testing.T) {
 	b := dataset.NewBuilder(dataset.DefaultScale)
 	b.MustAdd(1, 10, 4)
@@ -110,9 +108,11 @@ func TestGroupStatsForUnratedEncodes(t *testing.T) {
 	b.MustAdd(2, 11, 3)
 	b.MustAdd(3, 12, 5) // item 12 exists, but neither member rated it
 	sc := Scorer{DS: b.Build()}
-	got, err := sc.GroupStatsFor([]dataset.UserID{1, 2}, []dataset.ItemID{12, 11, 99, 10})
-	if err != nil {
-		t.Fatal(err)
+	var acc StatsAcc
+	sc.GroupStats(&acc, []dataset.UserID{1, 2})
+	var got []ItemStats
+	for _, it := range []dataset.ItemID{12, 11, 99, 10} {
+		got = append(got, acc.Of(it))
 	}
 	want := []ItemStats{
 		{Item: 12},
@@ -121,28 +121,29 @@ func TestGroupStatsForUnratedEncodes(t *testing.T) {
 		{Item: 10, Min: 4, Count: 1, WSum: 4, WRaters: 1},
 	}
 	if !slices.Equal(got, want) {
-		t.Fatalf("GroupStatsFor = %+v, want %+v", got, want)
-	}
-	raw, err := json.Marshal(got)
-	if err != nil {
-		t.Fatalf("json.Marshal: %v", err)
-	}
-	const wantJSON = `[{"item":12,"min":0,"count":0,"wsum":0,"wraters":0},{"item":11,"min":2,"count":2,"wsum":5,"wraters":2},{"item":99,"min":0,"count":0,"wsum":0,"wraters":0},{"item":10,"min":4,"count":1,"wsum":4,"wraters":1}]`
-	if string(raw) != wantJSON {
-		t.Fatalf("json = %s, want %s", raw, wantJSON)
+		t.Fatalf("records = %+v, want %+v", got, want)
 	}
 }
 
-// TestGroupStatsRejectNonResident: a member the dataset does not hold
-// is a topology fault on a shard, never an all-Missing member.
-func TestGroupStatsRejectNonResident(t *testing.T) {
+// TestGroupStatsSkipsNonResident: a shard is asked about a whole group
+// and answers for its residents, so a member the dataset does not hold
+// adds nothing to the records and is left out of the resident count;
+// the router's resident-sum check is what catches a member no shard
+// holds.
+func TestGroupStatsSkipsNonResident(t *testing.T) {
 	ds := dense(t, [][]float64{{1, 2}, {3, 4}})
 	sc := Scorer{DS: ds}
-	members := []dataset.UserID{0, 7, 1}
-	if _, err := sc.GroupStats(members); !errors.Is(err, gferr.ErrBadConfig) {
-		t.Errorf("GroupStats err = %v, want ErrBadConfig", err)
+	var with, without StatsAcc
+	if got := sc.GroupStats(&with, []dataset.UserID{0, 7, 1}); got != 2 {
+		t.Fatalf("residents = %d, want 2", got)
 	}
-	if _, err := sc.GroupStatsFor(members, []dataset.ItemID{0}); !errors.Is(err, gferr.ErrBadConfig) {
-		t.Errorf("GroupStatsFor err = %v, want ErrBadConfig", err)
+	sc.GroupStats(&without, []dataset.UserID{0, 1})
+	if with.Rated() != without.Rated() {
+		t.Fatalf("rated %d items, want %d", with.Rated(), without.Rated())
+	}
+	for i := range with.Rated() {
+		if with.At(i) != without.At(i) {
+			t.Fatalf("record %d = %+v, want %+v", i, with.At(i), without.At(i))
+		}
 	}
 }

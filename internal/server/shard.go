@@ -4,16 +4,20 @@ package server
 // formation tier (see docs/ARCHITECTURE.md, "The scatter-gather
 // tier"). A groupformd started with -shard i/S slices every loaded
 // dataset to shard i's resident users (dataset.ShardUsers) and
-// answers three extra routes the router fans out to:
+// answers three extra routes the router fans out to. A routed request
+// costs two calls per shard, whatever its plan:
 //
-//	POST /shard/buckets — run preference ranking + bucketizing over
-//	    the resident slice and return the per-shard candidate buckets
-//	    (core.BucketizeShard) plus this shard's anytime bound
-//	    contribution.
-//	POST /shard/scores  — return per-item partial score stats
-//	    (semantics.GroupStats) over the residents of a member list,
-//	    so the router can reassemble exact LM / bounded-error AV
-//	    group scores without moving ratings.
+//	POST /shard/buckets — the scatter call: run preference ranking +
+//	    bucketizing over the resident slice and return the per-shard
+//	    candidate buckets (core.BucketizeShard) plus this shard's
+//	    anytime bound contribution, as a wire frame when Accept names
+//	    the binary media type and as JSON otherwise.
+//	POST /shard/scores  — the gather call: one wire frame listing
+//	    every probe of the router's finalization plan, answered with
+//	    one frame of per-probe, per-item partial score stats
+//	    (semantics.ItemStats) over the residents of each probe's
+//	    members, so the router can reassemble exact LM / bounded-error
+//	    AV group scores without moving ratings.
 //	GET  /shard/catalog — the full item catalog (every shard keeps
 //	    it; ShardUsers preserves zero-rated items) plus the shard
 //	    topology, for the router's preference-list padding and
@@ -28,17 +32,21 @@ package server
 
 import (
 	"net/http"
+	"strconv"
 
 	"groupform/internal/core"
 	"groupform/internal/dataset"
 	"groupform/internal/gferr"
 	"groupform/internal/semantics"
+	"groupform/internal/wire"
 )
 
 // maxShardBodyBytes caps /shard/scores request bodies. Unlike a
-// /form request (a handful of scalars), a scores request carries a
-// full member list — up to every user in the dataset — so the 1 MiB
-// solve cap would refuse legitimate large groups.
+// /form request (a handful of scalars), a scores request carries the
+// member lists of every probed group. The groups of one plan are
+// disjoint, so a batch lists each user at most once: 4 bytes a user
+// plus the refold pieces' items, which this cap allows for some 16M
+// users, where the 1 MiB solve cap would refuse a 262k-user remainder.
 const maxShardBodyBytes = 64 << 20
 
 // ShardInfo reports a server's position in the user partition.
@@ -47,8 +55,9 @@ type ShardInfo struct {
 	Shards int `json:"shards"`
 }
 
-// ShardBucketsResponse is the body of a successful POST
-// /shard/buckets.
+// ShardBucketsResponse is the JSON body of a successful POST
+// /shard/buckets; a binary answer carries the same fields as a
+// wire.ShardBuckets frame.
 type ShardBucketsResponse struct {
 	Dataset string `json:"dataset"`
 	// Users is the resident user count — the router sums these and
@@ -60,29 +69,6 @@ type ShardBucketsResponse struct {
 	Bound              float64            `json:"bound"`
 	Buckets            []core.ShardBucket `json:"buckets"`
 	EffectiveTimeoutMS int64              `json:"effective_timeout_ms,omitempty"`
-}
-
-// ShardScoresRequest asks for partial score stats over the residents
-// of Members. With Items unset the stats cover every item any
-// resident rated (canonical item-index order); with Items set the
-// response aligns positionally with it (probe mode, used when the
-// router refolds a bucket piece against its stored positions).
-type ShardScoresRequest struct {
-	Dataset   string           `json:"dataset"`
-	TimeoutMS int64            `json:"timeout_ms,omitempty"`
-	Members   []dataset.UserID `json:"members"`
-	Items     []dataset.ItemID `json:"items,omitempty"`
-}
-
-// ShardScoresResponse is the body of a successful POST /shard/scores.
-type ShardScoresResponse struct {
-	Dataset string `json:"dataset"`
-	// Residents counts how many of the requested members live on this
-	// shard. The router requires the per-shard counts to sum to the
-	// full membership — every user on exactly one shard — and treats
-	// a mismatch as a topology fault, not a soft error.
-	Residents int                   `json:"residents"`
-	Stats     []semantics.ItemStats `json:"stats"`
 }
 
 // ShardCatalogResponse is the body of GET /shard/catalog?dataset=X.
@@ -115,7 +101,9 @@ func (s *Server) shardSlice(ds *dataset.Dataset) (*dataset.Dataset, error) {
 // of a solve, over this shard's residents. The request body is a
 // FormRequest — same dataset/params/timeout envelope as /form — with
 // the anytime fields ignored (degradation is the router's job; a
-// shard either finishes its pass or the router times it out).
+// shard either finishes its pass or the router times it out). The
+// answer is a wire frame when Accept names wire.ContentType, as /form
+// negotiates, and JSON otherwise.
 func (s *Server) handleShardBuckets(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
@@ -146,6 +134,16 @@ func (s *Server) handleShardBuckets(w http.ResponseWriter, r *http.Request) {
 		writeSolverError(w, err)
 		return
 	}
+	if wantsBinary(r) {
+		writeShardFrame(w, wire.AppendShardBuckets(nil, &wire.ShardBuckets{
+			Dataset:            name,
+			Users:              pass.Users,
+			Bound:              pass.Bound,
+			EffectiveTimeoutMS: effMS,
+			Buckets:            pass.Buckets,
+		}))
+		return
+	}
 	writeJSON(w, http.StatusOK, ShardBucketsResponse{
 		Dataset:            name,
 		Users:              pass.Users,
@@ -155,58 +153,81 @@ func (s *Server) handleShardBuckets(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleShardScores serves POST /shard/scores. Members not resident
-// on this shard are skipped — the router addresses the full
-// membership to every shard and cross-checks the resident counts —
-// so only a member unknown to the *whole* partition surfaces, at the
-// router, as the topology fault it is.
+// handleShardScores serves POST /shard/scores: one wire frame in,
+// listing every probe of a finalization plan, and one frame out with
+// each probe's resident count and ItemStats records — every item a
+// resident rated, ascending by item ID, for a top-k probe; the listed
+// items in order for a refold probe. All probes fold through one
+// accumulator. Members not resident on this shard are skipped — the
+// router addresses each group whole to every shard and cross-checks
+// the resident counts — so only a member unknown to the *whole*
+// partition surfaces, at the router, as the topology fault it is.
 func (s *Server) handleShardScores(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
 	}
 	defer s.release()
-	var req ShardScoresRequest
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxShardBodyBytes), &req); err != nil {
+	wb := s.leaseWireBuf()
+	defer s.releaseWireBuf(wb)
+	var err error
+	if wb.in, err = readLimited(r.Body, wb.in[:0], maxShardBodyBytes); err != nil {
+		s.writeBodyError(w, r, err)
+		return
+	}
+	req, err := wire.ParseScoresRequest(wb.in)
+	if err != nil {
 		writeSolverError(w, err)
 		return
 	}
-	eng, name, ok := s.resolve(w, req.Dataset)
+	eng, _, ok := s.resolve(w, string(req.Dataset))
 	if !ok {
 		return
 	}
-	if len(req.Members) == 0 {
-		writeSolverError(w, gferr.BadConfigf("server: shard scores request carries no members"))
+	if len(req.Probes) == 0 {
+		writeSolverError(w, gferr.BadConfigf("server: shard scores request carries no probes"))
 		return
 	}
-	ctx, cancel, _, err := s.solveCtx(r, req.TimeoutMS)
+	for i, p := range req.Probes {
+		if len(p.Members) == 0 {
+			writeSolverError(w, gferr.BadConfigf("server: shard scores probe %d carries no members", i))
+			return
+		}
+	}
+	ctx, cancel, _, err := s.solveCtx(r, 0)
 	if err != nil {
 		writeSolverError(w, err)
 		return
 	}
 	defer cancel()
-	if err := ctx.Err(); err != nil {
-		writeSolverError(w, gferr.Ctx(ctx))
-		return
-	}
-	ds := eng.Dataset()
-	residents := req.Members[:0:0]
-	for _, u := range req.Members {
-		if _, ok := ds.UserIdxOf(u); ok {
-			residents = append(residents, u)
+	sc := semantics.Scorer{DS: eng.Dataset()}
+	var acc semantics.StatsAcc
+	out := wire.AppendScoresResponse(nil, len(req.Probes))
+	for _, p := range req.Probes {
+		if err := gferr.Ctx(ctx); err != nil {
+			writeSolverError(w, err)
+			return
+		}
+		residents := sc.GroupStats(&acc, p.Members)
+		if p.Items == nil {
+			out = wire.AppendProbeStats(out, residents, acc.Rated())
+			for i := range acc.Rated() {
+				out = wire.AppendItemStats(out, acc.At(i))
+			}
+			continue
+		}
+		out = wire.AppendProbeStats(out, residents, len(p.Items))
+		for _, it := range p.Items {
+			out = wire.AppendItemStats(out, acc.Of(it))
 		}
 	}
-	sc := semantics.Scorer{DS: ds}
-	var stats []semantics.ItemStats
-	if req.Items == nil {
-		stats, err = sc.GroupStats(residents)
-	} else {
-		stats, err = sc.GroupStatsFor(residents, req.Items)
-	}
-	if err != nil {
-		writeSolverError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ShardScoresResponse{Dataset: name, Residents: len(residents), Stats: stats})
+	writeShardFrame(w, out)
+}
+
+// writeShardFrame writes a shard call's wire frame with its length,
+// so the router reads it into one buffer of the right size.
+func writeShardFrame(w http.ResponseWriter, frame []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	writeFrame(w, frame)
 }
 
 // handleShardCatalog serves GET /shard/catalog?dataset=X: the full

@@ -39,10 +39,6 @@ import (
 // and the next lease regrows organically.
 const maxRetainedWireBuf = 1 << 22
 
-// errWireBodyTooLarge mirrors decodeJSON's MaxBytesReader refusal for
-// the manually-read binary body.
-var errWireBodyTooLarge = gferr.TooLargef("server: request body exceeds %d bytes", maxSolveBodyBytes)
-
 // wireBuf is the pooled per-request buffer pair of the binary path.
 // Two buffers because their lifetimes overlap: the decoded request's
 // dataset name aliases in while the response is being appended to
@@ -99,7 +95,9 @@ func readLimited(r io.Reader, buf []byte, limit int) ([]byte, error) {
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		if len(buf) > limit {
-			return buf, errWireBodyTooLarge
+			// decodeJSON's MaxBytesReader refusal, for a body read by hand.
+			//gfvet:allow hotpathalloc -- cold rejection path; formats only once the body is already over the cap
+			return buf, gferr.TooLargef("server: request body exceeds %d bytes", limit)
 		}
 		if err == io.EOF {
 			return buf, nil
@@ -219,7 +217,14 @@ func (s *Server) serveForm(w http.ResponseWriter, r *http.Request, binReq, binRe
 	// deferred release runs only after Write has copied every byte.
 	wb.out = wire.AppendFormResponse(wb.out[:0], res)
 	s.met.binaryResponses.Inc()
+	writeFrame(w, wb.out)
+}
+
+// writeFrame writes a wire frame as a 200 answer.
+//
+//gfvet:zeroalloc
+func writeFrame(w http.ResponseWriter, frame []byte) {
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.WriteHeader(http.StatusOK)
-	w.Write(wb.out)
+	w.Write(frame)
 }

@@ -5,6 +5,9 @@
 // reassembles their answers through the same merge, finalize and
 // per-item scoring code the single-node solver runs
 // (core.MergeShardBuckets, core.FinalizeMerged, semantics.ItemStats).
+// A routed request costs each shard two calls in internal/wire
+// frames: the scatter (POST /shard/buckets) and one gather carrying
+// every rating probe of the finalization plan (POST /shard/scores).
 //
 // The parity contract is the point of the design: under LM semantics
 // the routed result is byte-identical to a single node solving the
@@ -28,6 +31,7 @@ import (
 
 	"groupform/internal/gferr"
 	"groupform/internal/server"
+	"groupform/internal/wire"
 )
 
 // maxShardRespBytes caps how much of a shard response the client
@@ -122,18 +126,13 @@ func Unavailable(err error) bool {
 	return false
 }
 
-// call POSTs body as JSON to shard's path (or GETs when body is nil)
-// and decodes the response into out. Each attempt runs under the
-// per-call timeout on top of ctx; attempts after the first happen
-// only for availability faults while ctx is still live.
-func (c *Client) call(ctx context.Context, shard int, path string, body, out any) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			return gferr.BadConfigf("shard: encode request: %v", err)
-		}
-	}
+// call runs one shard request under the retry policy: a POST of body,
+// of media type bodyType, asking for the binary answer, or a GET when
+// body is nil. decode reads a 200 answer; a body it rejects counts as
+// a transport fault. Each attempt runs under the per-call timeout on
+// top of ctx; attempts after the first happen only for availability
+// faults while ctx is still live.
+func (c *Client) call(ctx context.Context, shard int, path string, body []byte, bodyType string, decode func([]byte) error) error {
 	var last error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -142,7 +141,7 @@ func (c *Client) call(ctx context.Context, shard int, path string, body, out any
 			}
 			return gferr.Ctx(ctx)
 		}
-		last = c.attempt(ctx, shard, path, payload, out)
+		last = c.attempt(ctx, shard, path, body, bodyType, decode)
 		if last == nil || !Unavailable(last) {
 			return last
 		}
@@ -150,7 +149,7 @@ func (c *Client) call(ctx context.Context, shard int, path string, body, out any
 	return last
 }
 
-func (c *Client) attempt(ctx context.Context, shard int, path string, payload []byte, out any) error {
+func (c *Client) attempt(ctx context.Context, shard int, path string, payload []byte, bodyType string, decode func([]byte) error) error {
 	cctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	method := http.MethodGet
@@ -164,7 +163,8 @@ func (c *Client) attempt(ctx context.Context, shard int, path string, payload []
 		return gferr.BadConfigf("shard: build request: %v", err)
 	}
 	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", bodyType)
+		req.Header.Set("Accept", wire.ContentType)
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
@@ -177,7 +177,12 @@ func (c *Client) attempt(ctx context.Context, shard int, path string, payload []
 		return &unreachableError{shard: shard, err: err}
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxShardRespBytes))
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxShardRespBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err = buf.ReadFrom(io.LimitReader(resp.Body, maxShardRespBytes))
+	raw := buf.Bytes()
 	if err != nil {
 		if ctx.Err() != nil {
 			return gferr.Ctx(ctx)
@@ -194,29 +199,45 @@ func (c *Client) attempt(ctx context.Context, shard int, path string, payload []
 		}
 		return ce
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
+	if err := decode(raw); err != nil {
 		return &unreachableError{shard: shard,
 			err: fmt.Errorf("malformed response from %s: %w", path, err)}
 	}
 	return nil
 }
 
-// buckets runs the scatter call: POST /shard/buckets on one shard.
-func (c *Client) buckets(ctx context.Context, shard int, req server.FormRequest) (*server.ShardBucketsResponse, error) {
-	var out server.ShardBucketsResponse
-	if err := c.call(ctx, shard, "/shard/buckets", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+// jsonInto decodes a JSON answer into out.
+func jsonInto(out any) func([]byte) error {
+	return func(raw []byte) error { return json.Unmarshal(raw, out) }
 }
 
-// scores runs one gather probe: POST /shard/scores on one shard.
-func (c *Client) scores(ctx context.Context, shard int, req server.ShardScoresRequest) (*server.ShardScoresResponse, error) {
-	var out server.ShardScoresResponse
-	if err := c.call(ctx, shard, "/shard/scores", req, &out); err != nil {
-		return nil, err
+// buckets runs the scatter call: POST /shard/buckets on one shard with
+// the /form request as JSON, answered as a wire frame.
+func (c *Client) buckets(ctx context.Context, shard int, req server.FormRequest) (*wire.ShardBuckets, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, gferr.BadConfigf("shard: encode request: %v", err)
 	}
-	return &out, nil
+	var out *wire.ShardBuckets
+	err = c.call(ctx, shard, "/shard/buckets", body, "application/json", func(raw []byte) (err error) {
+		out, err = wire.ParseShardBuckets(raw)
+		return err
+	})
+	return out, err
+}
+
+// scores runs the gather call: POST /shard/scores on one shard with a
+// scores request frame. check validates the parsed answers against the
+// request.
+func (c *Client) scores(ctx context.Context, shard int, frame []byte, check func([]wire.ProbeStats) error) ([]wire.ProbeStats, error) {
+	var out []wire.ProbeStats
+	err := c.call(ctx, shard, "/shard/scores", frame, wire.ContentType, func(raw []byte) (err error) {
+		if out, err = wire.ParseScoresResponse(raw); err == nil {
+			err = check(out)
+		}
+		return err
+	})
+	return out, err
 }
 
 // catalog fetches one shard's item catalog (every shard keeps the
@@ -227,7 +248,7 @@ func (c *Client) catalog(ctx context.Context, shard int, dataset string) (*serve
 	if dataset != "" {
 		path += "?dataset=" + url.QueryEscape(dataset)
 	}
-	if err := c.call(ctx, shard, path, nil, &out); err != nil {
+	if err := c.call(ctx, shard, path, nil, "", jsonInto(&out)); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -236,7 +257,7 @@ func (c *Client) catalog(ctx context.Context, shard int, dataset string) (*serve
 // health probes one shard's /healthz.
 func (c *Client) health(ctx context.Context, shard int) (*server.HealthResponse, error) {
 	var out server.HealthResponse
-	if err := c.call(ctx, shard, "/healthz", nil, &out); err != nil {
+	if err := c.call(ctx, shard, "/healthz", nil, "", jsonInto(&out)); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -7,20 +7,23 @@ import (
 
 	"groupform/internal/core"
 	"groupform/internal/dataset"
+	"groupform/internal/gferr"
 	"groupform/internal/semantics"
-	"groupform/internal/server"
+	"groupform/internal/wire"
 )
 
-// gatherOracle answers core.FinalizeMerged's two rating questions by
-// fanning POST /shard/scores out to the responding shard set and
-// folding the per-shard semantics.ItemStats partials in ascending
+// gatherOracle answers core.FinalizeMerged's rating probes in one
+// gather round: the plan's whole probe list goes to every responding
+// shard as one POST /shard/scores frame, each shard answers every
+// probe from its residents, and the per-shard semantics.ItemStats
+// records are folded straight from the answer frames in ascending
 // shard order — for contiguous shards, the serial member order — with
 // ItemStats.Merge. Scoring, top-k selection and padding are the
 // scorer's own (ItemStats.Score, semantics.TopKFromStats); the oracle
 // only gathers and merges records, plus the item catalog a short top-k
-// list pads from, fetched lazily from the first responding shard in
-// the dataset's index order. One oracle serves one routed request;
-// FinalizeMerged drives it serially.
+// list pads from, fetched at most once per round from the first
+// responding shard in the dataset's index order. One oracle serves one
+// routed request.
 type gatherOracle struct {
 	c       *Client
 	dataset string
@@ -31,28 +34,25 @@ type gatherOracle struct {
 	// member list the finalizer asks about.
 	shards []int
 
-	catOnce sync.Once
-	catalog []dataset.ItemID
-	catErr  error
-
 	missing float64
 }
 
-// fanScores asks every responding shard for the members' stats and
-// returns the responses indexed like o.shards. Any failure is fatal
-// for the solve: the scatter phase already fixed the shard subset,
-// and losing a shard mid-gather would silently drop its residents'
-// ratings from the scores.
-func (o *gatherOracle) fanScores(ctx context.Context, members []dataset.UserID, items []dataset.ItemID) ([]*server.ShardScoresResponse, error) {
-	req := server.ShardScoresRequest{Dataset: o.dataset, Members: members, Items: items}
-	out := make([]*server.ShardScoresResponse, len(o.shards))
+// Batch asks every responding shard for every probe's stats in one
+// call each and merges the answers probe by probe. Any failure is
+// fatal for the solve: the scatter phase already fixed the shard
+// subset, and losing a shard mid-gather would silently drop its
+// residents' ratings from the scores.
+func (o *gatherOracle) Batch(ctx context.Context, sem semantics.Semantics, probes []core.Probe) ([]core.Answer, error) {
+	frame := wire.AppendScoresRequest(nil, wire.ScoresRequest{Dataset: []byte(o.dataset), Probes: probes})
+	check := func(parts []wire.ProbeStats) error { return checkAnswers(parts, probes) }
+	parts := make([][]wire.ProbeStats, len(o.shards))
 	errs := make([]error, len(o.shards))
 	var wg sync.WaitGroup
 	for i, s := range o.shards {
 		wg.Add(1)
 		go func(i, s int) {
 			defer wg.Done()
-			out[i], errs[i] = o.c.scores(ctx, s, req)
+			parts[i], errs[i] = o.c.scores(ctx, s, frame, check)
 		}(i, s)
 	}
 	wg.Wait()
@@ -61,91 +61,125 @@ func (o *gatherOracle) fanScores(ctx context.Context, members []dataset.UserID, 
 			return nil, err
 		}
 	}
-	residents := 0
-	for _, r := range out {
-		residents += r.Residents
+	answers := make([]core.Answer, len(probes))
+	var (
+		stats []semantics.ItemStats
+		cat   []dataset.ItemID
+		next  = make([]int, len(parts))
+	)
+	for p, pr := range probes {
+		residents := 0
+		for _, sh := range parts {
+			residents += sh[p].Residents
+		}
+		if residents != len(pr.Members) {
+			// Every member must be resident on exactly one responding
+			// shard; a mismatch means the topology drifted under us (a
+			// shard reloaded with a different partition) and any score
+			// built from these partials would be silently wrong.
+			//gfvet:allow sentinelwrap -- deliberately unclassified: a topology fault must surface as a 500, not a client-attributable sentinel, and there is no upstream cause to propagate
+			return nil, fmt.Errorf("shard: resident counts sum to %d for %d members — shard topology mismatch", residents, len(pr.Members))
+		}
+		n := len(pr.Members)
+		if pr.Items != nil {
+			scores := make([]float64, len(pr.Items))
+			for q := range pr.Items {
+				var st semantics.ItemStats
+				for _, sh := range parts {
+					st.Merge(sh[p].At(q))
+				}
+				scores[q] = st.Score(sem, n, float64(n), o.missing)
+			}
+			answers[p].Scores = scores
+			continue
+		}
+		stats = mergeByItem(stats[:0], parts, p, next)
+		if len(stats) < pr.K && cat == nil {
+			resp, err := o.c.catalog(ctx, o.shards[0], o.dataset)
+			if err != nil {
+				return nil, err
+			}
+			cat = resp.Items
+		}
+		answers[p].Items, answers[p].Scores = semantics.TopKFromStats(sem, stats, n, float64(n), o.missing, pr.K, cat)
 	}
-	if residents != len(members) {
-		// Every member must be resident on exactly one responding
-		// shard; a mismatch means the topology drifted under us (a
-		// shard reloaded with a different partition) and any score
-		// built from these partials would be silently wrong.
-		//gfvet:allow sentinelwrap -- deliberately unclassified: a topology fault must surface as a 500, not a client-attributable sentinel, and there is no upstream cause to propagate
-		return nil, fmt.Errorf("shard: resident counts sum to %d for %d members — shard topology mismatch", residents, len(members))
-	}
-	return out, nil
+	return answers, nil
 }
 
-// GroupScores is LocalOracle.GroupScores over the wire: the group
-// score of each listed item, positionally aligned.
+// GroupScores is Batch over one refold probe. FinalizeMerged never
+// asks it: it batches the whole plan.
 func (o *gatherOracle) GroupScores(ctx context.Context, sem semantics.Semantics, members []dataset.UserID, items []dataset.ItemID) ([]float64, error) {
-	resps, err := o.fanScores(ctx, members, items)
+	a, err := o.Batch(ctx, sem, []core.Probe{{Members: members, Items: items}})
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range resps {
-		if len(r.Stats) != len(items) {
-			//gfvet:allow sentinelwrap -- deliberately unclassified: a malformed gather reply is a router-side 500, not a client-attributable sentinel, and there is no upstream cause to propagate
-			return nil, fmt.Errorf("shard: shard %d returned %d stats for %d items", o.shards[i], len(r.Stats), len(items))
-		}
-	}
-	out := make([]float64, len(items))
-	for q := range items {
-		var st semantics.ItemStats
-		for _, r := range resps {
-			st.Merge(r.Stats[q])
-		}
-		out[q] = st.Score(sem, len(members), float64(len(members)), o.missing)
-	}
-	return out, nil
+	return a[0].Scores, nil
 }
 
-// GroupTopK is LocalOracle.GroupTopK over the wire: the stats of
-// every item any member rated, merged by item, then
-// semantics.TopKFromStats.
+// GroupTopK is Batch over one top-k probe.
 func (o *gatherOracle) GroupTopK(ctx context.Context, sem semantics.Semantics, members []dataset.UserID, k int) ([]dataset.ItemID, []float64, error) {
-	resps, err := o.fanScores(ctx, members, nil)
+	a, err := o.Batch(ctx, sem, []core.Probe{{Members: members, K: k}})
 	if err != nil {
 		return nil, nil, err
 	}
-	var stats []semantics.ItemStats
-	at := make(map[dataset.ItemID]int)
-	for _, r := range resps {
-		for _, st := range r.Stats {
-			if p, ok := at[st.Item]; ok {
-				stats[p].Merge(st)
-				continue
-			}
-			at[st.Item] = len(stats)
-			stats = append(stats, st)
-		}
-	}
-	var cat []dataset.ItemID
-	if len(stats) < k {
-		if cat, err = o.fullCatalog(ctx); err != nil {
-			return nil, nil, err
-		}
-	}
-	items, scores := semantics.TopKFromStats(sem, stats, len(members), float64(len(members)), o.missing, k, cat)
-	return items, scores, nil
+	return a[0].Items, a[0].Scores, nil
 }
 
-// fullCatalog lazily fetches the item catalog from the first
-// responding shard, in the dataset's item *index* order — the order
-// the serial padding walk uses, which after an append-only upsert is
-// not necessarily ascending ID order. Every shard keeps the full
-// catalog — dataset.ShardUsers preserves zero-rated items — so one
-// answer serves the whole solve.
-func (o *gatherOracle) fullCatalog(ctx context.Context) ([]dataset.ItemID, error) {
-	o.catOnce.Do(func() {
-		resp, err := o.c.catalog(ctx, o.shards[0], o.dataset)
-		if err != nil {
-			o.catErr = err
-			return
+// checkAnswers holds one shard's parsed answer to the request it
+// answers: one answer per probe, a refold probe's records aligned with
+// its items, and a top-k probe's strictly ascending by item ID, which
+// mergeByItem relies on.
+func checkAnswers(parts []wire.ProbeStats, probes []core.Probe) error {
+	if len(parts) != len(probes) {
+		return gferr.BadConfigf("shard: %d answers for %d probes", len(parts), len(probes))
+	}
+	for p, pr := range probes {
+		ps := parts[p]
+		if pr.Items != nil {
+			if ps.Len() != len(pr.Items) {
+				return gferr.BadConfigf("shard: probe %d: %d records for %d items", p, ps.Len(), len(pr.Items))
+			}
+			continue
 		}
-		o.catalog = resp.Items
-	})
-	return o.catalog, o.catErr
+		for i := 1; i < ps.Len(); i++ {
+			if ps.Item(i) <= ps.Item(i-1) {
+				return gferr.BadConfigf("shard: probe %d: records out of item order", p)
+			}
+		}
+	}
+	return nil
+}
+
+// mergeByItem appends probe p's records from every shard to dst as
+// one record per item, ascending by item ID. Each shard's run is
+// ascending already, so the runs merge in one pass; the first shard to
+// list an item donates its record and later shards Merge into it, in
+// shard order. next is scratch of len(parts).
+func mergeByItem(dst []semantics.ItemStats, parts [][]wire.ProbeStats, p int, next []int) []semantics.ItemStats {
+	clear(next)
+	for {
+		first := -1
+		var item dataset.ItemID
+		for s, sh := range parts {
+			if next[s] < sh[p].Len() {
+				if it := sh[p].Item(next[s]); first < 0 || it < item {
+					first, item = s, it
+				}
+			}
+		}
+		if first < 0 {
+			return dst
+		}
+		st := parts[first][p].At(next[first])
+		next[first]++
+		for s := first + 1; s < len(parts); s++ {
+			if ps := parts[s][p]; next[s] < ps.Len() && ps.Item(next[s]) == item {
+				st.Merge(ps.At(next[s]))
+				next[s]++
+			}
+		}
+		dst = append(dst, st)
+	}
 }
 
 // newGatherOracle builds the oracle for one routed request.

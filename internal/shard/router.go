@@ -11,6 +11,7 @@ import (
 	"groupform/internal/core"
 	"groupform/internal/metrics"
 	"groupform/internal/server"
+	"groupform/internal/wire"
 )
 
 // CodeShardUnavailable classifies a routed solve that could not reach
@@ -28,8 +29,8 @@ type Config struct {
 	// Shards are the shard base URLs in shard order: Shards[i] must
 	// serve slice i of len(Shards) (groupformd -shard i/S).
 	Shards []string
-	// ShardTimeout bounds each individual shard call (scatter and
-	// gather probes alike); 0 means 30s.
+	// ShardTimeout bounds each individual shard call (the scatter and
+	// the gather alike); 0 means 30s.
 	ShardTimeout time.Duration
 	// Retries is how many times an availability-faulted shard call is
 	// retried (transport errors and 5xx only); negative means 0.
@@ -44,10 +45,11 @@ type Config struct {
 // topology. It holds no ratings: POST /form fans out to the shard
 // set (POST /shard/buckets), merges the candidate buckets through
 // core.MergeShardBuckets, finalizes through core.FinalizeMerged with
-// the HTTP gather oracle, and answers the single-node FormResponse
-// envelope — byte-identical to one groupformd over the whole dataset
-// under LM (see the package comment). Mount it like a Server; it is
-// safe for concurrent use.
+// the gather oracle, which asks every rating probe of the plan in one
+// POST /shard/scores per shard, and answers the single-node
+// FormResponse envelope — byte-identical to one groupformd over the
+// whole dataset under LM (see the package comment). Mount it like a
+// Server; it is safe for concurrent use.
 type Router struct {
 	cfg Config
 	c   *Client
@@ -102,7 +104,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.Ser
 
 // scatterResult is one shard's scatter outcome.
 type scatterResult struct {
-	resp *server.ShardBucketsResponse
+	resp *wire.ShardBuckets
 	err  error
 }
 

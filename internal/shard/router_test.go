@@ -14,6 +14,7 @@ import (
 
 	"groupform/internal/dataset"
 	"groupform/internal/server"
+	"groupform/internal/wire"
 )
 
 // routerTestDataset builds a deterministic synthetic dataset with
@@ -202,7 +203,7 @@ func TestRouterParitySplitBranch(t *testing.T) {
 
 // TestRouterParityRefoldMissing: a refold piece scores its listed
 // items through ItemScoreIdx on the single node and through merged
-// GroupStatsFor records on the router; both must use one formula,
+// GroupStats records on the router; both must use one formula,
 // WSum + (totalW − WRaters)·Missing. Each taste group's users rank
 // their two items alike, so there are 3 buckets and every L here
 // takes the split branch. Every user rates only 2 of the catalog's 6
@@ -530,5 +531,142 @@ func TestRouterRepeatDeterminism(t *testing.T) {
 		if _, got := postForm(t, tp.router.URL, body); !bytes.Equal(got, first) {
 			t.Fatalf("run %d differs from first:\n%s\nvs\n%s", i+1, got, first)
 		}
+	}
+}
+
+// TestRouterOneGatherRound: whatever its plan, a routed request asks
+// each responding shard one POST /shard/scores, and still answers the
+// single node's bytes. The cases cover the split branch's LM-MAX
+// refold pieces (k=1), the heap branch's LM-MAX short buckets plus
+// the remainder, LM refold pieces under a missing of 0.3, and K near
+// the catalog size, where the remainder pads from the catalog.
+func TestRouterOneGatherRound(t *testing.T) {
+	ds := routerTestDataset(t, 140, 30, 8)
+	b := dataset.NewBuilder(dataset.DefaultScale)
+	for u := 0; u < 300; u++ {
+		taste := u % 3
+		b.MustAdd(dataset.UserID(u), dataset.ItemID(2*taste), float64(3+(u/3)%3))
+		b.MustAdd(dataset.UserID(u), dataset.ItemID(2*taste+1), float64(1+(u/7)%2))
+	}
+	refold := b.Build()
+	cases := []struct {
+		ds   *dataset.Dataset
+		body string
+	}{
+		{ds, `{"dataset":"ds","k":1,"l":60,"semantics":"lm","agg":"max"}`},
+		{ds, `{"dataset":"ds","k":4,"l":6,"semantics":"lm","agg":"max"}`},
+		{ds, `{"dataset":"ds","k":4,"l":60,"semantics":"lm","agg":"max","missing":0.5}`},
+		{refold, `{"dataset":"ds","k":3,"l":20,"semantics":"lm","agg":"sum","missing":0.3}`},
+		{refold, `{"dataset":"ds","k":4,"l":9,"semantics":"lm","agg":"min","missing":0.3}`},
+		{ds, `{"dataset":"ds","k":28,"l":5,"semantics":"lm","agg":"max"}`},
+		{ds, `{"dataset":"ds","k":28,"l":5,"semantics":"av","agg":"sum"}`},
+	}
+	for _, tc := range cases {
+		want := singleNodeForm(t, tc.ds, tc.body)
+		for _, S := range []int{1, 2, 3, 7} {
+			calls := make([]atomic.Int32, S)
+			tp := startTopology(t, tc.ds, S, Config{}, func(shard int, h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.Method == http.MethodPost && r.URL.Path == "/shard/scores" {
+						calls[shard].Add(1)
+					}
+					h.ServeHTTP(w, r)
+				})
+			})
+			st, got := postForm(t, tp.router.URL, tc.body)
+			if st != http.StatusOK {
+				t.Fatalf("S=%d %s: status %d: %s", S, tc.body, st, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("S=%d %s:\nrouter:      %s\nsingle node: %s", S, tc.body, got, want)
+			}
+			for i := range calls {
+				if n := calls[i].Load(); n > 1 {
+					t.Errorf("S=%d %s: shard %d answered %d scores calls, want at most 1", S, tc.body, i, n)
+				}
+			}
+			tp.close()
+		}
+	}
+}
+
+// rewriteShard serves h into a recorder and lets edit rewrite a 200
+// answer of path before it goes out.
+func rewriteShard(h http.Handler, path string, edit func([]byte) []byte) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if r.URL.Path == path && rec.Code == http.StatusOK {
+			body = edit(body)
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	})
+}
+
+// TestRouterMalformedShardFrames: a shard answering a cut frame is an
+// availability fault — 503 shard_unavailable, or under anytime a
+// degraded answer over the other shards when the cut frame is a
+// scatter answer (a gather fault is fatal either way) — never a panic
+// or a 200 built from it. A well-formed gather answer whose resident
+// counts do not sum to the group is a topology fault, a 500.
+func TestRouterMalformedShardFrames(t *testing.T) {
+	ds := routerTestDataset(t, 120, 24, 7)
+	const S = 3
+	cut := func(b []byte) []byte { return b[:len(b)-1] }
+	body := `{"dataset":"ds","k":4,"l":5,"semantics":"lm","agg":"max"}`
+	anytime := `{"dataset":"ds","k":4,"l":5,"semantics":"lm","agg":"max","anytime":true}`
+	for _, path := range []string{"/shard/buckets", "/shard/scores"} {
+		tp := startTopology(t, ds, S, Config{}, func(shard int, h http.Handler) http.Handler {
+			if shard != 1 {
+				return h
+			}
+			return rewriteShard(h, path, cut)
+		})
+		st, raw := postForm(t, tp.router.URL, body)
+		var eb server.ErrorBody
+		if st != http.StatusServiceUnavailable || json.Unmarshal(raw, &eb) != nil || eb.Code != CodeShardUnavailable {
+			t.Fatalf("cut %s answer: status %d: %s, want 503 %s", path, st, raw, CodeShardUnavailable)
+		}
+		st, raw = postForm(t, tp.router.URL, anytime)
+		if path == "/shard/scores" {
+			if st != http.StatusServiceUnavailable {
+				t.Fatalf("anytime, cut %s answer: status %d: %s, want 503", path, st, raw)
+			}
+		} else {
+			var fr server.FormResponse
+			if st != http.StatusOK || json.Unmarshal(raw, &fr) != nil || !fr.Degraded || fr.Completed != S-1 {
+				t.Fatalf("anytime, cut %s answer: status %d: %s, want a degraded 200 over %d shards", path, st, raw, S-1)
+			}
+		}
+		tp.close()
+	}
+
+	tp := startTopology(t, ds, S, Config{}, func(shard int, h http.Handler) http.Handler {
+		if shard != 0 {
+			return h
+		}
+		return rewriteShard(h, "/shard/scores", func(b []byte) []byte {
+			parts, err := wire.ParseScoresResponse(b)
+			if err != nil {
+				t.Error(err)
+				return b
+			}
+			out := wire.AppendScoresResponse(nil, len(parts))
+			for _, ps := range parts {
+				out = wire.AppendProbeStats(out, ps.Residents+1, ps.Len())
+				for i := range ps.Len() {
+					out = wire.AppendItemStats(out, ps.At(i))
+				}
+			}
+			return out
+		})
+	})
+	if st, raw := postForm(t, tp.router.URL, body); st != http.StatusInternalServerError {
+		t.Fatalf("resident counts off by one: status %d: %s, want 500", st, raw)
 	}
 }

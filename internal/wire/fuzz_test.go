@@ -10,11 +10,11 @@ import (
 	"groupform/internal/semantics"
 )
 
-// FuzzWireDecode drives both decoders with arbitrary bytes: neither
-// may panic, every rejection must wrap gferr.ErrBadConfig (so the
-// serving tier classifies it 400, never 500), and any frame a
-// decoder accepts must re-encode byte-identically: the codec is
-// bijective on its valid set, which holds version-2 frames only.
+// FuzzWireDecode drives every decoder with arbitrary bytes: none may
+// panic, every rejection must wrap gferr.ErrBadConfig (so the serving
+// tier classifies it 400, never 500), and any frame a decoder accepts
+// must re-encode byte-identically: the codec is bijective on its
+// valid set, which holds version-2 frames only.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{magic, Version, kindFormRequest, 0})
@@ -45,6 +45,9 @@ func FuzzWireDecode(f *testing.F) {
 			ItemScores: []float64{4}, Satisfaction: 4,
 		}},
 	}))
+	f.Add(AppendScoresRequest(nil, sampleScoresRequest()))
+	f.Add(sampleScoresResponse())
+	f.Add(AppendShardBuckets(nil, sampleShardBuckets()))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		if req, err := ParseFormRequest(frame); err == nil {
 			if again := AppendFormRequest(nil, req); string(again) != string(frame) {
@@ -70,6 +73,27 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		} else if !errors.Is(err, gferr.ErrBadConfig) {
 			t.Fatalf("response reject not classified: %v", err)
+		}
+		if req, err := ParseScoresRequest(frame); err == nil {
+			if again := AppendScoresRequest(nil, req); string(again) != string(frame) {
+				t.Fatalf("scores request re-encode diverged:\n in %x\nout %x", frame, again)
+			}
+		} else if !errors.Is(err, gferr.ErrBadConfig) {
+			t.Fatalf("scores request reject not classified: %v", err)
+		}
+		if parts, err := ParseScoresResponse(frame); err == nil {
+			if again := encodeScores(parts); string(again) != string(frame) {
+				t.Fatalf("scores response re-encode diverged:\n in %x\nout %x", frame, again)
+			}
+		} else if !errors.Is(err, gferr.ErrBadConfig) {
+			t.Fatalf("scores response reject not classified: %v", err)
+		}
+		if b, err := ParseShardBuckets(frame); err == nil {
+			if again := AppendShardBuckets(nil, b); string(again) != string(frame) {
+				t.Fatalf("buckets re-encode diverged:\n in %x\nout %x", frame, again)
+			}
+		} else if !errors.Is(err, gferr.ErrBadConfig) {
+			t.Fatalf("buckets reject not classified: %v", err)
 		}
 	})
 }

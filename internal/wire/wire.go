@@ -2,7 +2,9 @@
 // tier: a length-prefixed little-endian encoding of the /form
 // request and response that the daemon negotiates via the
 // application/x-groupform-binary media type (Content-Type for
-// requests, Accept for responses).
+// requests, Accept for responses), and of the two calls a router
+// makes to each shard per request: the /shard/buckets answer (the
+// scatter) and the /shard/scores request and answer (the gather).
 //
 // The format exists for one reason: the JSON envelope is the last
 // allocating stage of the request path. A binary response serializes
@@ -17,12 +19,15 @@
 // Framing (all integers little-endian):
 //
 //	header (4 bytes): magic 'G' (0x47), version (0x02), kind, flags
-//	kinds: 0x01 form request, 0x02 form response
+//	kinds: 0x01 form request, 0x02 form response,
+//	       0x03 shard scores request, 0x04 shard scores response,
+//	       0x05 shard buckets response
 //
 // The fourth header byte is a flags byte. Bit 0 means "anytime" on a
 // request and "degraded" on a response; all other bits are reserved
-// and rejected. Writers and readers speak version 2 only; a frame of
-// any other version is rejected.
+// and rejected, and a shard frame (kinds 0x03–0x05) must carry none.
+// Writers and readers speak version 2 only; a frame of any other
+// version is rejected.
 //
 // Form request (kind 0x01), after the header:
 //
@@ -55,9 +60,46 @@
 //	      then item scores as f64 (item count of them)
 //
 // The response deliberately omits the dataset name: the client named
-// it in the request. Trailing bytes after a request frame are a
-// framing error; every malformed-frame error wraps
-// gferr.ErrBadConfig so the serving tier classifies it as a 400.
+// it in the request.
+//
+// Shard scores request (kind 0x03), every probe of one finalization
+// plan (core.Probe), after the header:
+//
+//	u16 dataset name length, then that many name bytes
+//	u32 probe count, then per probe:
+//	  u8  mode: 0 top-k (every item a resident member rated),
+//	      1 listed items
+//	  u32 member count, then members as i32 user IDs
+//	  mode 1 only: u32 item count, then items as i32 item IDs
+//
+// Shard scores response (kind 0x04), one answer per probe in request
+// order, after the header:
+//
+//	u32 probe count, then per probe:
+//	  u32 residents (how many of the probe's members the shard holds)
+//	  u32 record count, then semantics.ItemStats records of 32 bytes:
+//	    i32 item, f64 min, u32 count, f64 wsum, f64 wraters
+//
+// A top-k answer lists its records ascending by item ID; a listed-items
+// answer has one record per listed item, in order, with count 0 and
+// min 0 for an item no resident rated.
+//
+// Shard buckets response (kind 0x05), after the header:
+//
+//	u16 dataset name length, then that many name bytes (the name the
+//	    shard resolved)
+//	u32 resident users
+//	f64 anytime bound contribution
+//	i64 effective_timeout_ms (0 when nothing was clamped)
+//	u32 bucket count, then per bucket:
+//	  u32 key length, then that many key bytes
+//	  u32 item count, then items as i32 item IDs,
+//	      then item scores as f64 (item count of them)
+//	  u32 member count, then members as i32 user IDs
+//
+// Trailing bytes after a frame are a framing error; every
+// malformed-frame error wraps gferr.ErrBadConfig so the serving tier
+// classifies it as a 400.
 package wire
 
 import (
@@ -500,6 +542,15 @@ func (d *decoder) u32() (uint32, bool) {
 	}
 	v := readU32(d.buf[d.off:])
 	d.off += 4
+	return v, true
+}
+
+func (d *decoder) u64() (uint64, bool) {
+	if d.off+8 > len(d.buf) {
+		return 0, false
+	}
+	v := readU64(d.buf[d.off:])
+	d.off += 8
 	return v, true
 }
 
