@@ -138,8 +138,8 @@ func NewUserKNN(ds *dataset.Dataset, k int) (*UserKNN, error) {
 	}
 	// Pairwise mean-centered cosine similarity over co-rated items.
 	for ai, a := range users {
-		for _, b := range users[ai+1:] {
-			s := model.cosine(a, b)
+		for bi, b := range users[ai+1:] {
+			s := model.cosine(dataset.UserIdx(ai), dataset.UserIdx(ai+1+bi))
 			if s > 0 {
 				model.sims[a] = append(model.sims[a], neighbor{b, s})
 				model.sims[b] = append(model.sims[b], neighbor{a, s})
@@ -158,23 +158,25 @@ func NewUserKNN(ds *dataset.Dataset, k int) (*UserKNN, error) {
 	return model, nil
 }
 
-// cosine computes mean-centered cosine similarity between two users
-// over their co-rated items (zero when fewer than two co-ratings).
-func (m *UserKNN) cosine(a, b dataset.UserID) float64 {
-	ea, eb := m.ds.UserRatings(a), m.ds.UserRatings(b)
-	ma, _ := m.m.userMean(a)
-	mb, _ := m.m.userMean(b)
+// cosine computes mean-centered cosine similarity between the users
+// at rows a and b over their co-rated items (zero when fewer than two
+// co-ratings).
+func (m *UserKNN) cosine(a, b dataset.UserIdx) float64 {
+	ca, va := m.ds.RowIdx(a)
+	cb, vb := m.ds.RowIdx(b)
+	ma, _ := m.m.userMean(m.ds.UserAt(a))
+	mb, _ := m.m.userMean(m.ds.UserAt(b))
 	var dot, na, nb float64
 	common := 0
 	i, j := 0, 0
-	for i < len(ea) && j < len(eb) {
+	for i < len(ca) && j < len(cb) {
 		switch {
-		case ea[i].Item < eb[j].Item:
+		case ca[i] < cb[j]:
 			i++
-		case ea[i].Item > eb[j].Item:
+		case ca[i] > cb[j]:
 			j++
 		default:
-			x, y := ea[i].Value-ma, eb[j].Value-mb
+			x, y := va[i]-ma, vb[j]-mb
 			dot += x * y
 			na += x * x
 			nb += y * y

@@ -53,24 +53,30 @@ func (m *SlopeOne) Predict(u dataset.UserID, i dataset.ItemID) float64 {
 	if v, ok := m.ds.Rating(u, i); ok {
 		return v
 	}
+	r, ok := m.ds.UserIdxOf(u)
+	if !ok {
+		return m.m.fallback(u, i)
+	}
 	var num, den float64
-	for _, e := range m.ds.UserRatings(u) {
-		if e.Item == i {
+	cols, vals := m.ds.RowIdx(r)
+	for p, j := range cols {
+		it := m.ds.ItemAt(j)
+		if it == i {
 			continue
 		}
 		var d float64
 		var c int
-		if e.Item > i {
+		if it > i {
 			// dev stored for (smaller, larger); flip sign as needed.
-			d, c = m.lookup(i, e.Item)
+			d, c = m.lookup(i, it)
 		} else {
-			d, c = m.lookup(e.Item, i)
+			d, c = m.lookup(it, i)
 			d = -d
 		}
 		if c == 0 {
 			continue
 		}
-		num += (e.Value + d) * float64(c)
+		num += (vals[p] + d) * float64(c)
 		den += float64(c)
 	}
 	if den == 0 {

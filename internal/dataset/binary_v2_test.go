@@ -47,8 +47,8 @@ func requireSameDataset(t *testing.T, got, want *Dataset) {
 		if !reflect.DeepEqual(gc, wc) || !reflect.DeepEqual(gv, wv) {
 			t.Fatalf("row %d differs", r)
 		}
-		if !reflect.DeepEqual(got.RowEntries(UserIdx(r)), want.RowEntries(UserIdx(r))) {
-			t.Fatalf("row entries %d differ", r)
+		if !reflect.DeepEqual(got.UserRatings(got.UserAt(UserIdx(r))), idEntries(want, UserIdx(r))) {
+			t.Fatalf("UserRatings of row %d differ from the source's RowIdx row through Items()", r)
 		}
 	}
 	for j := 0; j < want.NumItems(); j++ {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -42,23 +43,19 @@ func TestIndexSpaceAccessors(t *testing.T) {
 		t.Error("unknown item should not resolve")
 	}
 
-	// Each CSR row must mirror UserRatings exactly, with column
-	// indices resolving to the same item IDs and values.
+	// UserRatings must be each CSR row mapped through Items(), with
+	// column indices resolving to the same item IDs and values.
 	for r := 0; r < ds.NumUsers(); r++ {
 		u := ds.UserAt(UserIdx(r))
 		entries := ds.UserRatings(u)
-		rowEntries := ds.RowEntries(UserIdx(r))
-		if len(rowEntries) != len(entries) {
-			t.Fatalf("RowEntries(%d) has %d entries, UserRatings %d", r, len(rowEntries), len(entries))
+		if want := idEntries(ds, UserIdx(r)); !reflect.DeepEqual(entries, want) {
+			t.Fatalf("UserRatings(%d) = %v, want RowIdx(%d) through Items() %v", u, entries, r, want)
 		}
 		cols, vals := ds.RowIdx(UserIdx(r))
 		if len(cols) != len(entries) || len(vals) != len(entries) {
 			t.Fatalf("RowIdx(%d) lengths %d/%d, want %d", r, len(cols), len(vals), len(entries))
 		}
 		for p, e := range entries {
-			if rowEntries[p] != e {
-				t.Fatalf("RowEntries(%d)[%d] = %+v, want %+v", r, p, rowEntries[p], e)
-			}
 			if ds.ItemAt(cols[p]) != e.Item || vals[p] != e.Value {
 				t.Fatalf("RowIdx(%d)[%d] = (%d,%v), want (%d,%v)", r, p, cols[p], vals[p], e.Item, e.Value)
 			}
@@ -87,6 +84,17 @@ func TestIndexSpaceAccessors(t *testing.T) {
 			t.Fatalf("ItemCountIdx(%d) = %d, ItemCount(%d) = %d", j, ds.ItemCountIdx(ItemIdx(j)), it, ds.ItemCount(it))
 		}
 	}
+}
+
+// idEntries maps user r's RowIdx row through Items(): the ID-space
+// entries UserRatings must return.
+func idEntries(ds *Dataset, r UserIdx) []Entry {
+	cols, vals := ds.RowIdx(r)
+	es := make([]Entry, len(cols))
+	for p, j := range cols {
+		es[p] = Entry{Item: ds.Items()[j], Value: vals[p]}
+	}
+	return es
 }
 
 // TestBuilderDuplicateStats pins the documented last-write-wins

@@ -16,22 +16,23 @@
 // index space. Arbitrary application-assigned UserID/ItemID values
 // are remapped at construction time to contiguous UserIdx (0..n-1)
 // and ItemIdx (0..m-1), assigned in ascending ID order, so index
-// order and ID order always agree. All ratings live in flat arrays:
+// order and ID order always agree. Each rating is stored once, in
+// flat arrays:
 //
-//	rowPtr  []int32   // n+1 offsets; user r's ratings are [rowPtr[r], rowPtr[r+1])
-//	colIdx  []ItemIdx // item index per rating, ascending within a row
-//	vals    []float64 // rating value per rating
-//	entries []Entry   // ID-space mirror of (colIdx, vals), same layout
+//	rowPtr []int32   // n+1 offsets; user r's ratings are [rowPtr[r], rowPtr[r+1])
+//	colIdx []ItemIdx // item index per rating, ascending within a row
+//	vals   []float64 // rating value per rating
 //
 // plus the two ID<->index tables (users/items slices for idx->ID,
 // maps for ID->idx). Hot paths — preference-list construction, group
 // scoring, clustering — walk the flat arrays with zero map accesses
 // and zero per-row allocation; the long-standing ID-space accessors
 // (Rating, UserRatings, ItemCount, ...) remain as thin adapters over
-// one ID->index lookup. The index space is exported for the sibling
-// internal packages but is deliberately absent from the public facade:
-// indices are an artifact of one Dataset value and mean nothing across
-// datasets.
+// one ID->index lookup, and UserRatings copies the row out as ID-space
+// entries the caller owns. The index space is exported for the
+// sibling internal packages but is deliberately absent from the
+// public facade: indices are an artifact of one Dataset value and
+// mean nothing across datasets.
 package dataset
 
 import (
@@ -111,10 +112,9 @@ type Dataset struct {
 	userIdx map[UserID]UserIdx
 	itemIdx map[ItemID]ItemIdx
 
-	rowPtr  []int32   // len(users)+1
-	colIdx  []ItemIdx // len = NumRatings, ascending within each row
-	vals    []float64 // len = NumRatings
-	entries []Entry   // ID-space mirror of (colIdx, vals)
+	rowPtr []int32   // len(users)+1
+	colIdx []ItemIdx // len = NumRatings, ascending within each row
+	vals   []float64 // len = NumRatings
 
 	itemCount []int32 // ratings per item index
 	lv        Levels  // ratings per item index and rating level; see levels.go
@@ -132,9 +132,9 @@ type Dataset struct {
 }
 
 // newCSR freezes validated CSR arrays into a Dataset, building the
-// ID->index tables, the per-item rating and rating-level counts and
-// the ID-space entry mirror, all in one pass over the ratings. It
-// adopts the slices without copying; callers hand over ownership.
+// ID->index tables and the per-item rating and rating-level counts,
+// the counts in one pass over the ratings. It adopts the slices
+// without copying; callers hand over ownership.
 // Requirements: users and items strictly ascending;
 // rowPtr non-decreasing with rowPtr[0] == 0 and len(users)+1 entries;
 // colIdx strictly ascending within each row and < len(items); vals
@@ -159,10 +159,8 @@ func newCSR(scale Scale, users []UserID, items []ItemID, rowPtr []int32, colIdx 
 	}
 	var lb levelBuilder
 	lb, ds.itemCount = newLevelBuilder(len(items))
-	ds.entries = make([]Entry, len(colIdx))
 	for p, j := range colIdx {
 		ds.itemCount[j]++
-		ds.entries[p] = Entry{Item: items[j], Value: vals[p]}
 		if !lb.hit(j, vals[p]) {
 			lb.miss(j, vals[p])
 		}
@@ -454,16 +452,6 @@ func (ds *Dataset) RowIdx(r UserIdx) ([]ItemIdx, []float64) {
 	return ds.colIdx[lo:hi], ds.vals[lo:hi]
 }
 
-// RowEntries returns user r's ratings as ID-space entries sorted by
-// item ID, without the ID->index map lookup UserRatings pays. The
-// slice is shared; do not modify it.
-func (ds *Dataset) RowEntries(r UserIdx) []Entry {
-	if ds.ov != nil {
-		return ds.overlayRowEntries(r)
-	}
-	return ds.entries[ds.rowPtr[r]:ds.rowPtr[r+1]]
-}
-
 // RatingIdx returns the rating at (user index, item index) and
 // whether it exists, by binary search over the user's row.
 func (ds *Dataset) RatingIdx(r UserIdx, j ItemIdx) (float64, bool) {
@@ -492,14 +480,20 @@ func (ds *Dataset) Rating(u UserID, i ItemID) (float64, bool) {
 	return ds.RatingIdx(r, j)
 }
 
-// UserRatings returns user u's ratings sorted by item ID. The slice is
-// shared; do not modify it. Unknown users yield nil.
+// UserRatings returns user u's ratings sorted by item ID, in a fresh
+// slice the caller owns. Unknown users yield nil. Loops that read
+// rows repeatedly should use RowIdx, which copies nothing.
 func (ds *Dataset) UserRatings(u UserID) []Entry {
 	r, ok := ds.UserIdxOf(u)
 	if !ok {
 		return nil
 	}
-	return ds.RowEntries(r)
+	cols, vals := ds.RowIdx(r)
+	es := make([]Entry, len(cols))
+	for p, j := range cols {
+		es[p] = Entry{Item: ds.items[j], Value: vals[p]}
+	}
+	return es
 }
 
 // ItemCount returns how many users rated item i.

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -122,6 +124,59 @@ func TestUserRatingsSortedByItem(t *testing.T) {
 	es := ds.UserRatings(1)
 	if len(es) != 3 || es[0].Item != 10 || es[1].Item != 20 || es[2].Item != 30 {
 		t.Errorf("UserRatings not sorted by item: %v", es)
+	}
+}
+
+// TestUserRatingsCallerOwned pins the one-copy contract: ratings live
+// only in the CSR arrays, and UserRatings hands out a fresh copy, so
+// overwriting it — on a compact dataset and on an upserted one — moves
+// no rating any accessor reads.
+func TestUserRatingsCallerOwned(t *testing.T) {
+	base, err := FromRatings(DefaultScale, []Rating{
+		{User: 1, Item: 10, Value: 4}, {User: 1, Item: 20, Value: 2},
+		{User: 2, Item: 10, Value: 5}, {User: 2, Item: 30, Value: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upserted, _, err := base.Upsert([]Rating{
+		{User: 1, Item: 30, Value: 3}, // a new rating in a dirty row
+		{User: 2, Item: 10, Value: 1}, // a re-rating
+		{User: 3, Item: 40, Value: 2}, // an appended user and item
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ds   *Dataset
+	}{{"compact", base}, {"upserted", upserted}} {
+		ds := tc.ds
+		for r, u := range ds.Users() {
+			want := idEntries(ds, UserIdx(r))
+			cols, vals := ds.RowIdx(UserIdx(r))
+			wantCols, wantVals := slices.Clone(cols), slices.Clone(vals)
+
+			es := ds.UserRatings(u)
+			for p := range es {
+				es[p] = Entry{Item: -1, Value: 0}
+			}
+			if got := ds.UserRatings(u); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: UserRatings(%d) after overwriting an earlier result = %v, want %v", tc.name, u, got, want)
+			}
+			cols, vals = ds.RowIdx(UserIdx(r))
+			if !slices.Equal(cols, wantCols) || !slices.Equal(vals, wantVals) {
+				t.Fatalf("%s: RowIdx(%d) = (%v,%v), want (%v,%v)", tc.name, r, cols, vals, wantCols, wantVals)
+			}
+			for _, e := range want {
+				if v, ok := ds.Rating(u, e.Item); !ok || v != e.Value {
+					t.Fatalf("%s: Rating(%d,%d) = %v,%v, want %v", tc.name, u, e.Item, v, ok, e.Value)
+				}
+			}
+		}
+		if es := ds.UserRatings(99); es != nil {
+			t.Fatalf("%s: UserRatings(unknown) = %v, want nil", tc.name, es)
+		}
 	}
 }
 

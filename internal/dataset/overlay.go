@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"groupform/internal/gferr"
@@ -11,12 +12,12 @@ import (
 // delta overlay over the frozen CSR arrays. A Dataset stays an
 // immutable value — Upsert never modifies its receiver — but the
 // value returned by Upsert shares the receiver's frozen rowPtr /
-// colIdx / vals / entries arrays and carries a small overlay of
-// merged rows for the users whose ratings changed. Readers are
-// untouched: every accessor consults the overlay first and falls
-// back to the frozen arrays, so in-flight consumers of the old value
-// and new consumers of the new value each see one consistent
-// snapshot with no locking anywhere.
+// colIdx / vals arrays and carries a small overlay of merged rows
+// (their own colIdx / vals) for the users whose ratings changed.
+// Readers are untouched: every accessor consults the overlay first
+// and falls back to the frozen arrays, so in-flight consumers of the
+// old value and new consumers of the new value each see one
+// consistent snapshot with no locking anywhere.
 //
 // Index-space invariant: overlay datasets only ever APPEND to the
 // index space. A new user or item ID is accepted onto the overlay
@@ -33,12 +34,11 @@ import (
 // through its atomic registry swap.
 
 // overlayRow is one merged row: the user's complete rating row after
-// applying every overlay upsert, in both index space and ID space,
-// sorted ascending like a frozen CSR row.
+// applying every overlay upsert, in index space, sorted ascending like
+// a frozen CSR row.
 type overlayRow struct {
-	colIdx  []ItemIdx
-	vals    []float64
-	entries []Entry
+	colIdx []ItemIdx
+	vals   []float64
 }
 
 // overlay is the delta state of a mutated Dataset. All fields are
@@ -159,7 +159,6 @@ func (ds *Dataset) Upsert(rs []Rating) (*Dataset, UpsertResult, error) {
 		rowPtr:  ds.rowPtr,
 		colIdx:  ds.colIdx,
 		vals:    ds.vals,
-		entries: ds.entries,
 		dups:    ds.dups,
 	}
 	ov := &overlay{
@@ -236,38 +235,40 @@ func (ds *Dataset) Upsert(rs []Rating) (*Dataset, UpsertResult, error) {
 	}
 
 	collapsed := 0
+	var combined []Entry // the merge buffer, reused row to row
 	for _, u := range order {
 		ups := byUser[u]
 		r, _ := nds.UserIdxOf(u)
-		var old []Entry
+		var oldCols []ItemIdx
+		var oldVals []float64
 		if int(r) < len(ds.users) { // existed before this batch
-			old = ds.RowEntries(r)
+			oldCols, oldVals = ds.RowIdx(r)
 		}
-		combined := make([]Entry, 0, len(old)+len(ups))
-		combined = append(combined, old...)
+		combined = slices.Grow(combined[:0], len(oldCols)+len(ups))
+		for p, j := range oldCols {
+			combined = append(combined, Entry{Item: ds.items[j], Value: oldVals[p]})
+		}
 		combined = append(combined, ups...)
 		sort.Stable(byItem(combined))
 		merged, dups := dedupLastWins(combined)
 		collapsed += dups
 
 		row := overlayRow{
-			colIdx:  make([]ItemIdx, len(merged)),
-			vals:    make([]float64, len(merged)),
-			entries: merged,
+			colIdx: make([]ItemIdx, len(merged)),
+			vals:   make([]float64, len(merged)),
 		}
+		// An upsert never removes a rating, so the merged row holds
+		// every item of the old one, both ascending: the pass that maps
+		// the row to index space also counts the items the batch added
+		// and moves the levels of the values it changed.
+		q := 0
 		for p, e := range merged {
 			j, _ := nds.ItemIdxOf(e.Item)
+			v := e.Value
 			row.colIdx[p] = j
-			row.vals[p] = e.Value
-		}
-		// An upsert never removes a rating, so merged holds every item
-		// of old, both in item order: one pass counts the items the
-		// batch added and moves the levels of the values it changed.
-		q := 0
-		for p, j := range row.colIdx {
-			v := row.vals[p]
-			if q < len(old) && old[q].Item == merged[p].Item {
-				if was := old[q].Value; lv.ok && math.Float64bits(was) != math.Float64bits(v) {
+			row.vals[p] = v
+			if q < len(oldCols) && oldCols[q] == j {
+				if was := oldVals[q]; lv.ok && math.Float64bits(was) != math.Float64bits(v) {
 					lv.add(j, was, -1)
 					lv.add(j, v, 1)
 				}
@@ -279,7 +280,7 @@ func (ds *Dataset) Upsert(rs []Rating) (*Dataset, UpsertResult, error) {
 				lv.add(j, v, 1)
 			}
 		}
-		ov.nratings += len(merged) - len(old)
+		ov.nratings += len(merged) - len(oldCols)
 		ov.rows[r] = row
 	}
 	nds.dups += collapsed
@@ -340,10 +341,9 @@ func (ds *Dataset) classifyNew(rs []Rating) (newUsers []UserID, newItems []ItemI
 // forward.
 func (ds *Dataset) rebuildWith(rs []Rating) (*Dataset, UpsertResult, error) {
 	b := NewBuilder(ds.scale)
-	for r := 0; r < len(ds.users); r++ {
-		u := ds.users[r]
-		for _, e := range ds.RowEntries(UserIdx(r)) {
-			b.rows[u] = append(b.rows[u], e)
+	for _, u := range ds.users {
+		if es := ds.UserRatings(u); len(es) > 0 {
+			b.rows[u] = es // a fresh copy: the Builder may own it
 		}
 	}
 	for _, r := range rs {
@@ -400,14 +400,4 @@ func (ds *Dataset) overlayRowIdx(r UserIdx) ([]ItemIdx, []float64) {
 	}
 	lo, hi := ds.rowPtr[r], ds.rowPtr[r+1]
 	return ds.colIdx[lo:hi], ds.vals[lo:hi]
-}
-
-// overlayRowEntries: same out-of-line rationale as overlayRowIdx.
-//
-//go:noinline
-func (ds *Dataset) overlayRowEntries(r UserIdx) []Entry {
-	if row, ok := ds.ov.rows[r]; ok {
-		return row.entries
-	}
-	return ds.entries[ds.rowPtr[r]:ds.rowPtr[r+1]]
 }

@@ -43,17 +43,13 @@ func assertSameDataset(t *testing.T, tag string, got, want *Dataset) {
 		if gr, ok := got.UserIdxOf(u); !ok || gr != UserIdx(r) {
 			t.Fatalf("%s: UserIdxOf(%d) = (%d,%v), want (%d,true)", tag, u, gr, ok, r)
 		}
-		ge, we := got.RowEntries(UserIdx(r)), want.RowEntries(UserIdx(r))
-		if !reflect.DeepEqual(ge, we) {
-			t.Fatalf("%s: RowEntries(user %d) = %v, want %v", tag, u, ge, we)
-		}
 		gc, gv := got.RowIdx(UserIdx(r))
 		wc, wv := want.RowIdx(UserIdx(r))
 		if !reflect.DeepEqual(gc, wc) || !reflect.DeepEqual(gv, wv) {
 			t.Fatalf("%s: RowIdx(user %d) = (%v,%v), want (%v,%v)", tag, u, gc, gv, wc, wv)
 		}
-		if !reflect.DeepEqual(got.UserRatings(u), we) {
-			t.Fatalf("%s: UserRatings(%d) differs from RowEntries", tag, u)
+		if ge, we := got.UserRatings(u), idEntries(want, UserIdx(r)); !reflect.DeepEqual(ge, we) {
+			t.Fatalf("%s: UserRatings(%d) = %v, want RowIdx through Items() %v", tag, u, ge, we)
 		}
 	}
 	for j := 0; j < want.NumItems(); j++ {

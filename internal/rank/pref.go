@@ -43,14 +43,6 @@ func (p PrefList) String() string {
 	return b.String()
 }
 
-// prefLess reports whether a ranks strictly ahead of b.
-func prefLess(a, b dataset.Entry) bool {
-	if a.Value != b.Value {
-		return a.Value > b.Value
-	}
-	return a.Item < b.Item
-}
-
 // TopK returns user u's top-k preference list. If the user has rated
 // fewer than k items, the list is padded with the user's unrated items
 // in ascending item-ID order at the padValue score, so that every list
@@ -64,82 +56,90 @@ func TopK(ds *dataset.Dataset, u dataset.UserID, k int, padValue float64) (PrefL
 	if k > ds.NumItems() {
 		return PrefList{}, gferr.BadConfigf("rank: K=%d exceeds item count %d", k, ds.NumItems())
 	}
-	var scratch []dataset.Entry
-	return topKInto(ds, u, ds.UserRatings(u), k, padValue,
-		make([]dataset.ItemID, 0, k), make([]float64, 0, k), &scratch), nil
+	var cols []dataset.ItemIdx
+	var vals []float64
+	if r, ok := ds.UserIdxOf(u); ok {
+		cols, vals = ds.RowIdx(r)
+	}
+	return topKInto(ds, u, cols, vals, k, padValue,
+		make([]dataset.ItemID, 0, k), make([]float64, 0, k), new([]int32)), nil
 }
 
-// topKInto computes u's top-k list from its rating row into the
-// provided capacity-k backing slices, reusing *scratch for the
-// intermediate ranking (grown as needed, never shrunk). Bounds (k >=
-// 1, k <= NumItems) are the caller's responsibility. This is the
+// topKInto computes u's top-k list from its RowIdx row into the
+// provided capacity-k backing slices, ranking row positions in
+// *scratch (grown as needed, never shrunk). Bounds (k >= 1, k <=
+// NumItems) are the caller's responsibility. This is the
 // allocation-free core shared by TopK and the bulk AllTopK path: with
 // arena-backed outputs and a per-shard scratch, building n lists
 // costs O(1) allocations instead of O(n).
-func topKInto(ds *dataset.Dataset, u dataset.UserID, entries []dataset.Entry, k int, padValue float64,
-	items []dataset.ItemID, scores []float64, scratch *[]dataset.Entry) PrefList {
+func topKInto(ds *dataset.Dataset, u dataset.UserID, cols []dataset.ItemIdx, vals []float64, k int, padValue float64,
+	items []dataset.ItemID, scores []float64, scratch *[]int32) PrefList {
 
-	need := len(entries)
-	if k > need {
-		need = k
+	// ahead ranks row position a strictly ahead of b: the higher
+	// rating, then the lower position, which within a row is the lower
+	// item. A strict total order, so both selections below give the
+	// bytes of a full sort + truncate.
+	ahead := func(a, b int32) bool {
+		if vals[a] != vals[b] {
+			return vals[a] > vals[b]
+		}
+		return a < b
 	}
-	if cap(*scratch) < need {
-		*scratch = make([]dataset.Entry, need)
+	if cap(*scratch) < len(cols) {
+		*scratch = make([]int32, len(cols))
 	}
-	var ranked []dataset.Entry
-	if k < len(entries)/2 {
+	var ranked []int32
+	if k < len(cols)/2 {
 		// Partial selection: maintain the best k in a small insertion
 		// buffer, O(d*k) — the common case (k of 5 against dozens of
 		// ratings) and allocation-free, which matters because this
 		// runs once per user.
 		ranked = (*scratch)[:0]
-		for _, e := range entries {
+		for p := range cols {
+			c := int32(p)
 			pos := len(ranked)
-			for pos > 0 && prefLess(e, ranked[pos-1]) {
+			for pos > 0 && ahead(c, ranked[pos-1]) {
 				pos--
 			}
 			if pos == len(ranked) {
 				if len(ranked) < k {
-					ranked = append(ranked, e)
+					ranked = append(ranked, c)
 				}
 				continue
 			}
 			if len(ranked) < k {
-				ranked = append(ranked, dataset.Entry{})
+				ranked = append(ranked, 0)
 			}
 			copy(ranked[pos+1:], ranked[pos:])
-			ranked[pos] = e
+			ranked[pos] = c
 		}
 	} else {
-		// Large-k branch: the k-bounded selection kernel on a scratch
-		// copy of the row (CSR rows are shared and must not be
-		// reordered). prefLess is a strict total order (items unique
-		// within a row), so the selected prefix is byte-identical to
-		// the historical full sort + truncate.
-		ranked = (*scratch)[:len(entries)]
-		copy(ranked, entries)
-		ranked = ranked[:selection.TopK(ranked, k, prefLess)]
+		// Large-k branch: the k-bounded selection kernel over the
+		// row's positions (CSR rows are shared and must not be
+		// reordered).
+		ranked = (*scratch)[:len(cols)]
+		for p := range ranked {
+			ranked[p] = int32(p)
+		}
+		ranked = ranked[:selection.TopK(ranked, k, ahead)]
 	}
-	for _, e := range ranked {
-		items = append(items, e.Item)
-		scores = append(scores, e.Value)
+	ids := ds.Items()
+	for _, p := range ranked {
+		items = append(items, ids[cols[p]])
+		scores = append(scores, vals[p])
 	}
 	if len(items) < k {
-		// Pad with unrated items (ascending ID) at padValue, walking
-		// the sorted item table and the sorted row in lockstep — no
-		// membership map needed.
-		j := 0
-		for _, it := range ds.Items() {
-			if len(items) == k {
-				break
-			}
-			for j < len(entries) && entries[j].Item < it {
-				j++
-			}
-			if j < len(entries) && entries[j].Item == it {
+		// Pad with unrated items (ascending index, so ascending ID) at
+		// padValue, walking the item indices and the sorted row in
+		// lockstep — no membership map needed. k <= NumItems, so the
+		// unrated items run out no sooner than the list fills.
+		q := 0
+		for j := 0; len(items) < k; j++ {
+			if q < len(cols) && int(cols[q]) == j {
+				q++
 				continue
 			}
-			items = append(items, it)
+			items = append(items, ids[j])
 			scores = append(scores, padValue)
 		}
 	}
@@ -186,7 +186,7 @@ func AllTopKParallel(ctx context.Context, ds *dataset.Dataset, k int, padValue f
 	ranges := par.Ranges(n, workers)
 	errs := make([]error, len(ranges))
 	par.Do(len(ranges), workers, func(s int) {
-		var scratch []dataset.Entry
+		var scratch []int32
 		for i := ranges[s][0]; i < ranges[s][1]; i++ {
 			if i&0x3FF == 0 {
 				if err := gferr.Ctx(ctx); err != nil {
@@ -195,7 +195,8 @@ func AllTopKParallel(ctx context.Context, ds *dataset.Dataset, k int, padValue f
 				}
 			}
 			lo, hi := i*k, (i+1)*k
-			out[i] = topKInto(ds, users[i], ds.RowEntries(dataset.UserIdx(i)), k, padValue,
+			cols, vals := ds.RowIdx(dataset.UserIdx(i))
+			out[i] = topKInto(ds, users[i], cols, vals, k, padValue,
 				itemsArena[lo:lo:hi], scoresArena[lo:lo:hi], &scratch)
 		}
 	})

@@ -3,6 +3,7 @@ package rank
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -94,6 +95,10 @@ func TestTopKPadsSparseUser(t *testing.T) {
 	// Padding: unrated items in ascending ID at score 0.
 	if p.Items[1] != 7 || p.Scores[1] != 0 || p.Items[2] != 9 || p.Scores[2] != 0 {
 		t.Errorf("padding = %v/%v", p.Items, p.Scores)
+	}
+	// An unknown user has no ratings: the list is all padding.
+	if p, err := TopK(ds, 99, 2, 1); err != nil || !reflect.DeepEqual(p, PrefList{User: 99, Items: []dataset.ItemID{5, 7}, Scores: []float64{1, 1}}) {
+		t.Errorf("TopK(unknown) = %v, %v", p, err)
 	}
 }
 

@@ -481,11 +481,11 @@ func (sc Scorer) NDCG(u dataset.UserID, items []dataset.ItemID) float64 {
 		dcg += v / math.Log2(float64(j+2))
 	}
 	// Ideal: user's best len(items) ratings in descending order.
-	entries := sc.DS.UserRatings(u)
 	bufp := ndcgScratchPool.Get().(*[]float64)
 	vals := (*bufp)[:0]
-	for _, e := range entries {
-		vals = append(vals, e.Value)
+	if r, ok := sc.DS.UserIdxOf(u); ok {
+		_, row := sc.DS.RowIdx(r)
+		vals = append(vals, row...)
 	}
 	*bufp = vals
 	vals = vals[:selection.TopK(vals, len(items), greaterFloat)]

@@ -135,13 +135,16 @@ func (s *Server) handleShardBuckets(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wantsBinary(r) {
-		writeShardFrame(w, wire.AppendShardBuckets(nil, &wire.ShardBuckets{
+		wb := s.leaseWireBuf()
+		defer s.releaseWireBuf(wb)
+		wb.out = wire.AppendShardBuckets(wb.out[:0], &wire.ShardBuckets{
 			Dataset:            name,
 			Users:              pass.Users,
 			Bound:              pass.Bound,
 			EffectiveTimeoutMS: effMS,
 			Buckets:            pass.Buckets,
-		}))
+		})
+		writeShardFrame(w, wb.out)
 		return
 	}
 	writeJSON(w, http.StatusOK, ShardBucketsResponse{
@@ -201,7 +204,7 @@ func (s *Server) handleShardScores(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	sc := semantics.Scorer{DS: eng.Dataset()}
 	var acc semantics.StatsAcc
-	out := wire.AppendScoresResponse(nil, len(req.Probes))
+	out := wire.AppendScoresResponse(wb.out[:0], len(req.Probes))
 	for _, p := range req.Probes {
 		if err := gferr.Ctx(ctx); err != nil {
 			writeSolverError(w, err)
@@ -220,6 +223,7 @@ func (s *Server) handleShardScores(w http.ResponseWriter, r *http.Request) {
 			out = wire.AppendItemStats(out, acc.Of(it))
 		}
 	}
+	wb.out = out
 	writeShardFrame(w, out)
 }
 

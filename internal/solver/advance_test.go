@@ -210,7 +210,7 @@ func TestAdvancePointerIdentity(t *testing.T) {
 	}
 	for r := 0; r < len(cur); r++ {
 		if &next[r].Items[0] != &cur[r].Items[0] || &next[r].Scores[0] != &cur[r].Scores[0] {
-			t.Fatalf("row %d (untouched, %d ratings) was rebuilt instead of carried", r, len(ds3.RowEntries(dataset.UserIdx(r))))
+			t.Fatalf("row %d (untouched, %d ratings) was rebuilt instead of carried", r, len(ds3.UserRatings(ds3.UserAt(dataset.UserIdx(r)))))
 		}
 	}
 	// And the carried+patched cache must equal a cold build.

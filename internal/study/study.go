@@ -143,12 +143,10 @@ type list struct {
 }
 
 func topList(ds *dataset.Dataset, u dataset.UserID, k int) (list, error) {
-	entries := ds.UserRatings(u)
-	if len(entries) < k {
-		return list{}, gferr.BadConfigf("study: user %d has %d ratings, need %d", u, len(entries), k)
+	es := ds.UserRatings(u)
+	if len(es) < k {
+		return list{}, gferr.BadConfigf("study: user %d has %d ratings, need %d", u, len(es), k)
 	}
-	es := make([]dataset.Entry, len(entries))
-	copy(es, entries)
 	sort.Slice(es, func(i, j int) bool {
 		if es[i].Value != es[j].Value {
 			return es[i].Value > es[j].Value
