@@ -102,14 +102,10 @@ func TestRemainderFromAssignment(t *testing.T) {
 		if !merged.merged {
 			t.Fatalf("%s: no merged group", label)
 		}
-		// FinalizeMerged's plan over the same buckets.
-		var bs []*bucket
-		for i := range s.bs {
-			b := s.bs[i]
-			b.selected = false
-			bs = append(bs, &b)
-		}
-		want := NewScratch().plan(bs, cfg, nil)
+		// FinalizeMerged's plan over the same buckets: no assignment.
+		p := s.part
+		p.assign = nil
+		want := NewScratch().plan(&p, cfg, nil)
 		if !slices.Equal(merged.members, want[len(want)-1].members) {
 			t.Fatalf("%s: assignment remainder differs from the sorted concatenation", label)
 		}

@@ -42,6 +42,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -313,16 +314,6 @@ func carve[T any](dst *[]T, src []T) []T {
 	return (*dst)[lo:len(*dst):len(*dst)]
 }
 
-// bucket is an intermediate group: users indistinguishable under the
-// hashing key of the configured algorithm.
-type bucket struct {
-	key      string
-	items    []dataset.ItemID
-	scores   []float64 // group item scores at each list position
-	members  []dataset.UserID
-	selected bool // plan made it one of the L-1 groups of its own
-}
-
 // Form runs the greedy group-formation algorithm selected by cfg.
 // With cfg.Workers >= 2 the preference lists, the finalization of the
 // bucket groups and pieces, and the merged group's forward top-k run
@@ -344,8 +335,16 @@ func Form(ctx context.Context, ds *dataset.Dataset, cfg Config) (*Result, error)
 // plus one copy-out, so everything reachable from the returned Result
 // is caller-owned and shares no memory with prefs or the pool.
 func FormWithPrefs(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList) (*Result, error) {
+	return FormWithPartition(ctx, ds, cfg, prefs, nil)
+}
+
+// FormWithPartition is FormWithPrefs starting from part, cfg's cached
+// bucketize pass over prefs (NewPartition), instead of bucketizing; a
+// nil part bucketizes as FormWithPrefs does. The Result is copied out
+// as FormWithPrefs's is, so it shares no memory with part either.
+func FormWithPartition(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList, part *Partition) (*Result, error) {
 	s := scratchPool.Get().(*Scratch)
-	res, err := FormInto(ctx, ds, cfg, prefs, s)
+	res, err := FormPartitionInto(ctx, ds, cfg, prefs, part, s)
 	if err == nil {
 		res = res.clone()
 	}
@@ -359,32 +358,49 @@ func FormWithPrefs(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs [
 // The returned Result is therefore valid only until s is used again,
 // and s must not be shared between goroutines. In steady state — same
 // configuration shape, warm preference lists — a serial FormInto
-// performs no allocations; this is the Engine's serving path.
+// performs no allocations.
 //
 //gfvet:zeroalloc
 func FormInto(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList, s *Scratch) (*Result, error) {
+	return FormPartitionInto(ctx, ds, cfg, prefs, nil, s)
+}
+
+// FormPartitionInto is FormInto starting at the plan from part, cfg's
+// cached bucketize pass over prefs (NewPartition), so the run skips
+// step 1; a nil part bucketizes on s as FormInto does. This is the
+// Engine's serving path. The Result's bucket groups read their lists,
+// scores and members from part, which nothing writes, and everything
+// else is carved from s: it is borrowed as FormInto's is. A part built
+// for another kind, K, Missing or user count is ErrBadConfig.
+//
+//gfvet:zeroalloc
+func FormPartitionInto(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList, part *Partition, s *Scratch) (*Result, error) {
 	if s == nil {
 		return nil, gferr.BadConfigf("core: FormInto requires a non-nil Scratch")
 	}
 	s.begin()
-	return s.run(ctx, ds, cfg, prefs)
+	return s.run(ctx, ds, cfg, prefs, part)
 }
 
-// run executes the greedy framework on the (already begun) scratch.
+// run executes the greedy framework on the (already begun) scratch,
+// from part when one is supplied.
 //
 //gfvet:zeroalloc
-func (s *Scratch) run(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList) (*Result, error) {
+func (s *Scratch) run(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList, part *Partition) (*Result, error) {
 	prefs, err := prepare(ctx, ds, cfg, prefs)
 	if err != nil {
 		return nil, err
 	}
-	buckets := s.bucketize(prefs, cfg)
+	p, err := s.usePartition(ds, cfg, prefs, part)
+	if err != nil {
+		return nil, err
+	}
 	if err := gferr.Ctx(ctx); err != nil {
 		return nil, err
 	}
-	s.result = Result{Buckets: len(buckets), Algorithm: cfg.AlgorithmName()}
+	s.result = Result{Buckets: p.buckets(), Algorithm: cfg.AlgorithmName()}
 	res := &s.result
-	tasks := s.plan(buckets, cfg, ds.Users())
+	tasks := s.plan(p, cfg, ds.Users())
 	if cap(s.groups) < len(tasks) {
 		s.groups = make([]Group, len(tasks))
 	}
@@ -451,8 +467,10 @@ func prepare(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.
 
 // groupTask is one group of a finalization plan.
 type groupTask struct {
-	// b is the source bucket; nil for the merged remainder.
-	b *bucket
+	// items and scores are the source bucket's list and folded scores;
+	// nil for the merged remainder.
+	items  []dataset.ItemID
+	scores []float64
 	// members are the group's users, ascending.
 	members []dataset.UserID
 	// refold marks a strict piece of a full-sequence bucket: it keeps
@@ -466,11 +484,13 @@ type groupTask struct {
 	excluded []dataset.UserIdx
 }
 
-// rankedBucket is a bucket with its aggregated satisfaction, the
-// primary key of the plan's order.
+// rankedBucket is a bucket's index with what the plan's order reads:
+// its aggregated satisfaction (the primary key), its size and its key.
 type rankedBucket struct {
-	sat float64
-	b   *bucket
+	sat  float64
+	key  []byte
+	size int32
+	b    int32
 }
 
 // bucketAhead orders buckets by (satisfaction desc, size desc, key
@@ -483,25 +503,26 @@ func bucketAhead(a, b rankedBucket) bool {
 	if a.sat != b.sat {
 		return a.sat > b.sat
 	}
-	if len(a.b.members) != len(b.b.members) {
-		return len(a.b.members) > len(b.b.members)
+	if a.size != b.size {
+		return a.size > b.size
 	}
-	return a.b.key < b.b.key
+	return bytes.Compare(a.key, b.key) < 0
 }
 
-// plan lays out steps 3 and 4 of the framework from the buckets
+// plan lays out steps 3 and 4 of the framework from the partition
 // alone, without a rating probe, and returns every group in output
-// order.
+// order. It only reads p, whose members are ascending within each
+// bucket, so one cached partition serves any number of plans.
 //
 // With more buckets than L, the L-1 best buckets in bucketAhead order
 // are groups of their own and every remaining member joins the merged
-// l-th group, listed last; only those L-1 are ordered. users, when
-// non-nil, is run()'s user table, and s.assign[r] then indexes
-// users[r]'s bucket in buckets: the remainder is one pass over the
-// assignment that skips the selected buckets, ascending with no sort,
-// and the same pass lists the excluded users for the complement top-k.
-// FinalizeMerged has no assignment and passes nil: its remainder
-// concatenates the other buckets' members and sorts them.
+// l-th group, listed last; only those L-1 are ordered. When p carries
+// an assignment, users is run()'s user table and p.assign[r] indexes
+// users[r]'s bucket: the remainder is one pass over the assignment
+// that skips the selected buckets (flagged in the scratch), ascending
+// with no sort, and the same pass lists the excluded users for the
+// complement top-k. FinalizeMerged's partition has no assignment: its
+// remainder concatenates the other buckets' members and sorts them.
 //
 // Otherwise every bucket becomes final, all of them in bucketAhead
 // order, and, because the objective only grows with the number of
@@ -513,29 +534,42 @@ func bucketAhead(a, b rankedBucket) bool {
 // best buckets first is optimal given the bucketing — and is required
 // for the rmax absolute-error guarantee of Theorem 2 when l exceeds
 // the bucket count. Pieces are contiguous, near-even cuts (par.Range)
-// of the bucket's members, which plan sorts in place; the cuts depend
-// on the bucket sizes alone, so every worker count finalizes the same
-// plan.
+// of the bucket's members; the cuts depend on the bucket sizes alone,
+// so every worker count finalizes the same plan.
 //
 //gfvet:zeroalloc
-func (s *Scratch) plan(buckets []*bucket, cfg Config, users []dataset.UserID) []groupTask {
-	ranked := slices.Grow(s.ranked[:0], len(buckets))
-	for _, b := range buckets {
-		ranked = append(ranked, rankedBucket{sat: cfg.Aggregation.Aggregate(b.scores), b: b})
+func (s *Scratch) plan(p *Partition, cfg Config, users []dataset.UserID) []groupTask {
+	nb := p.buckets()
+	ranked := slices.Grow(s.ranked[:0], nb)
+	for b := range nb {
+		_, scores := p.list(b)
+		ranked = append(ranked, rankedBucket{
+			sat:  cfg.Aggregation.Aggregate(scores),
+			key:  p.key(b),
+			size: p.offs[b+1] - p.offs[b],
+			b:    int32(b),
+		})
 	}
 	s.ranked = ranked
 	tasks := s.tasks[:0]
-	if len(buckets) > cfg.L {
+	if nb > cfg.L {
 		best := selection.TopK(ranked, cfg.L-1, bucketAhead)
+		if len(s.selected) < nb {
+			s.selected = make([]bool, nb)
+		}
+		selected := s.selected
 		for _, r := range ranked[:best] {
-			r.b.selected = true
-			sortUsers(r.b.members)
-			tasks = append(tasks, groupTask{b: r.b, members: r.b.members})
+			selected[r.b] = true
+			items, scores := p.list(int(r.b))
+			tasks = append(tasks, groupTask{items: items, scores: scores, members: p.membersOf(int(r.b))})
 		}
 		rest, excl := s.rest[:0], s.excl[:0]
-		if users != nil {
-			for r, bi := range s.assign[:len(users)] {
-				if buckets[bi].selected {
+		if p.assign != nil {
+			// The two lists split the users; a cold scratch reserves
+			// both whole rather than growing them in steps.
+			rest, excl = slices.Grow(rest, len(p.assign)), slices.Grow(excl, len(p.assign))
+			for r, b := range p.assign {
+				if selected[b] {
 					excl = append(excl, dataset.UserIdx(r))
 				} else {
 					rest = append(rest, users[r])
@@ -543,27 +577,31 @@ func (s *Scratch) plan(buckets []*bucket, cfg Config, users []dataset.UserID) []
 			}
 		} else {
 			for _, r := range ranked[best:] {
-				rest = append(rest, r.b.members...)
+				rest = append(rest, p.membersOf(int(r.b))...)
 			}
 			sortUsers(rest)
+		}
+		for _, r := range ranked[:best] {
+			selected[r.b] = false
 		}
 		s.rest, s.excl = rest, excl
 		tasks = append(tasks, groupTask{members: rest, merged: true, excluded: excl})
 	} else {
 		selection.TopK(ranked, len(ranked), bucketAhead)
-		surplus := cfg.L - len(buckets)
+		surplus := cfg.L - nb
 		for _, r := range ranked {
-			b := r.b
-			sortUsers(b.members)
-			n := len(b.members)
+			items, scores := p.list(int(r.b))
+			members := p.membersOf(int(r.b))
+			n := len(members)
 			parts := 1 + min(surplus, n-1)
 			surplus -= parts - 1
-			for p := 0; p < parts; p++ {
-				lo, hi := par.Range(n, parts, p)
+			for part := 0; part < parts; part++ {
+				lo, hi := par.Range(n, parts, part)
 				tasks = append(tasks, groupTask{
-					b:       b,
-					members: b.members[lo:hi],
-					refold:  parts > 1 && len(b.items) == cfg.K,
+					items:   items,
+					scores:  scores,
+					members: members[lo:hi],
+					refold:  parts > 1 && len(items) == cfg.K,
 				})
 			}
 		}
@@ -591,14 +629,14 @@ func finalizeTask(ctx context.Context, cfg Config, t groupTask, o ScoreOracle) (
 	var err error
 	switch {
 	case t.refold:
-		g.Items = t.b.items
-		g.ItemScores, err = o.GroupScores(ctx, cfg.Semantics, t.members, t.b.items)
+		g.Items = t.items
+		g.ItemScores, err = o.GroupScores(ctx, cfg.Semantics, t.members, t.items)
 	case t.merged:
 		g.Items, g.ItemScores, err = mergedTopK(ctx, cfg, t, o)
-	case len(t.b.items) < cfg.K:
+	case len(t.items) < cfg.K:
 		g.Items, g.ItemScores, err = o.GroupTopK(ctx, cfg.Semantics, t.members, cfg.K)
 	default:
-		g.Items, g.ItemScores = t.b.items, t.b.scores
+		g.Items, g.ItemScores = t.items, t.scores
 	}
 	if err != nil {
 		return Group{}, err
@@ -779,114 +817,6 @@ func complementCheaper(ds *dataset.Dataset, excluded []dataset.UserIdx) bool {
 	return ex+ds.NumItems()*len(lv.Values()) < ds.NumRatings()-ex
 }
 
-// bucketize hashes every user's preference list into intermediate
-// groups under the configured key (step 1 of the framework), in
-// first-seen order. Group item scores are folded in as members join:
-// min for LM, sum for AV, into the bucket's own copy of its score
-// positions, so the fold never mutates the caller's lists.
-//
-// Allocation discipline: key bytes resolve through the scratch's
-// persistent intern table (map lookups go through the no-alloc
-// string([]byte) conversion, and a key string is materialized only the
-// first time the scratch ever sees it — steady-state traffic
-// materializes none), each user's bucket assignment is recorded in a
-// flat array, score positions are carved from the score arena, and all
-// member slices are carved from one shared arena sized by a counting
-// pass. A warm scratch runs this whole step without allocating.
-//
-//gfvet:zeroalloc
-func (s *Scratch) bucketize(prefs []rank.PrefList, cfg Config) []*bucket {
-	// A cold scratch pre-sizes the intern-side arrays to the worst
-	// case (every list a distinct bucket): three exact allocations
-	// instead of append-doubling chains, so a one-shot Form never
-	// allocates more than the pre-scratch code did. Warm scratches
-	// keep whatever capacity they reached and grow amortized.
-	if cap(s.keys) == 0 {
-		s.keys = make([]string, 0, len(prefs))
-		s.keyToBucket = make([]int32, 0, len(prefs))
-	}
-	if cap(s.touchedKeys) == 0 {
-		s.touchedKeys = make([]int32, 0, len(prefs))
-	}
-	bs := s.bs[:0]
-	counts := s.counts[:0]
-	if cap(s.assign) < len(prefs) {
-		s.assign = make([]int32, len(prefs))
-	}
-	assign := s.assign[:len(prefs)]
-	keyBuf := s.keyBuf
-	for i, p := range prefs {
-		keyBuf = appendKey(keyBuf[:0], p, cfg)
-		id, ok := s.intern[string(keyBuf)]
-		if !ok {
-			key := string(keyBuf)
-			id = int32(len(s.keys))
-			s.keys = append(s.keys, key)
-			s.keyToBucket = append(s.keyToBucket, -1)
-			s.intern[key] = id
-		}
-		idx := s.keyToBucket[id]
-		if idx < 0 {
-			idx = int32(len(bs))
-			s.keyToBucket[id] = idx
-			s.touchedKeys = append(s.touchedKeys, id)
-			items, scores := s.seedBucket(p, cfg)
-			bs = append(bs, bucket{key: s.keys[id], items: items, scores: scores})
-			counts = append(counts, 0)
-		} else {
-			foldBucketMember(bs[idx].scores, p, cfg)
-		}
-		assign[i] = idx
-		counts[idx]++
-	}
-	s.keyBuf = keyBuf
-	s.bs, s.counts = bs, counts
-	return s.fillMembers(prefs, bs, counts, assign)
-}
-
-// fillMembers carves every bucket's member slice out of one shared
-// arena: offsets come from the per-bucket counts, and assign holds
-// each pref's bucket index in pref order, so each bucket's members
-// land in the order bucketize's fold met them, ascending by user (a
-// flat array rather than a walk callback — the closure was the warm
-// path's last heap allocation). Returns stable pointers into the
-// bucket backing array.
-//
-//gfvet:zeroalloc
-func (s *Scratch) fillMembers(prefs []rank.PrefList, bs []bucket, counts []int32, assign []int32) []*bucket {
-	if cap(s.memberArena) < len(prefs) {
-		s.memberArena = make([]dataset.UserID, len(prefs))
-	}
-	arena := s.memberArena[:len(prefs)]
-	if cap(s.offs) < len(bs)+1 {
-		s.offs = make([]int32, len(bs)+1)
-	}
-	offs := s.offs[:len(bs)+1]
-	offs[0] = 0
-	for i, c := range counts {
-		offs[i+1] = offs[i] + c
-	}
-	if cap(s.cur) < len(bs) {
-		s.cur = make([]int32, len(bs))
-	}
-	cur := s.cur[:len(bs)]
-	copy(cur, offs[:len(bs)])
-	for i, idx := range assign {
-		arena[cur[idx]] = prefs[i].User
-		cur[idx]++
-	}
-	if cap(s.outPtrs) < len(bs) {
-		s.outPtrs = make([]*bucket, len(bs))
-	}
-	out := s.outPtrs[:len(bs)]
-	for i := range bs {
-		lo, hi := offs[i], offs[i+1]
-		bs[i].members = arena[lo:hi:hi]
-		out[i] = &bs[i]
-	}
-	return out
-}
-
 // takeScores returns a length-n score buffer: carved from the score
 // arena when a scratch is available, heap-allocated from the parallel
 // fan-outs that must not share the scratch (the same nil convention
@@ -898,33 +828,6 @@ func (s *Scratch) takeScores(n int) []float64 {
 		return make([]float64, n)
 	}
 	return s.scoreArena.take(n)
-}
-
-// seedBucket returns the item list and initial score positions of a
-// bucket created by preference list p. LM-MAX buckets agree only on
-// the (top item, score) pair — members' list tails differ, so only
-// position 0 is stored and the final list is completed later. The
-// scores are always a copy (weighted under AV), because the fold must
-// not mutate the caller's lists, which an Engine shares between
-// concurrent runs; the copy is carved from the score arena and costs
-// no allocation once warm.
-//
-//gfvet:zeroalloc
-func (s *Scratch) seedBucket(p rank.PrefList, cfg Config) ([]dataset.ItemID, []float64) {
-	items, scores := p.Items, p.Scores
-	if cfg.Semantics == semantics.LM && cfg.Aggregation == semantics.Max {
-		items, scores = items[:1], scores[:1]
-	}
-	dst := s.scoreArena.take(len(scores))
-	if cfg.Semantics == semantics.AV {
-		w := cfg.weight(p.User)
-		for j, v := range scores {
-			dst[j] = w * v
-		}
-	} else {
-		copy(dst, scores)
-	}
-	return items, dst
 }
 
 // foldBucketMember folds a joining member's scores into the bucket's

@@ -1,22 +1,24 @@
 // Per-run scratch for the formation pipeline. A Scratch owns every
-// reusable buffer of a serial run — the bucket-key intern table,
-// assignment/count arrays, the member arena, the bucket score/item
-// arenas, the plan's ranking and task arrays, the semantics top-k
-// scratch and the Result with its Groups — so a warm
-// Engine.FormInto on a bound dataset runs without allocating.
+// reusable buffer of a serial run — the bucket table and the partition
+// it fills (key bytes, item lists, folded scores, members, each user's
+// bucket), the score/item arenas, the plan's ranking, selection and
+// task arrays, the semantics top-k scratch and the Result with its
+// Groups — so a warm Engine.FormInto on a bound dataset runs without
+// allocating.
 //
 // There is one ownership rule: a run carves everything, the Result
-// included, from its scratch and reuses it on the scratch's next run,
-// so a returned Result is valid only until then, and a Scratch must
-// never be used from two goroutines at once. Form and FormWithPrefs
-// are FormInto on a pooled scratch plus one copy-out of the Result,
-// and BucketizeShard clones its buckets out of a pooled scratch.
+// included, from its scratch (or reads it from a cached Partition,
+// which nothing writes once built) and reuses the scratch's memory on
+// its next run, so a returned Result is valid only until then, and a
+// Scratch must never be used from two goroutines at once. Form and
+// FormWithPrefs are FormInto on a pooled scratch plus one copy-out of
+// the Result, and BucketizeShard clones its buckets out of a pooled
+// scratch.
 //
-// The intern table persists across runs: bucket keys are
-// deterministic byte strings, so steady-state traffic hits the table
-// and never re-materializes a key. It is dropped and rebuilt when it
-// outgrows maxInternedKeys, bounding memory on pathological
-// many-dataset reuse.
+// Nothing outlives a run but capacity: the bucket table is cleared at
+// the start of every bucketize, so a scratch fed any number of
+// catalogs retains what its largest run needed and no key of an
+// earlier one.
 package core
 
 import (
@@ -31,12 +33,8 @@ import (
 // allocations and steady state costs none.
 const arenaMinBlock = 1024
 
-// maxInternedKeys bounds the persistent key intern table; beyond it
-// the table is rebuilt from empty at the next run.
-const maxInternedKeys = 1 << 18
-
-// arena is a block-chained bump allocator for result slices (bucket
-// score positions, completed top-k lists). take never moves memory
+// arena is a block-chained bump allocator for result slices (rescored
+// piece positions, completed top-k lists). take never moves memory
 // previously handed out within a run; reset rewinds over the retained
 // blocks.
 type arena[T any] struct {
@@ -95,35 +93,27 @@ func (a *arena[T]) copyIn(src []T) []T {
 // with the facade. See the comment at the top of this file for the
 // ownership rule.
 type Scratch struct {
-	// Persistent bucket-key interning: key bytes -> key id, the
-	// canonical string per id, and the per-run id -> bucket mapping
-	// (reset via touchedKeys between runs).
-	intern      map[string]int32
-	keys        []string
-	keyToBucket []int32
-	touchedKeys []int32
+	// The bucketize pass: its open-addressing table over bucket keys,
+	// the key being encoded, per-bucket member counts (then fill
+	// cursors), and the partition the pass fills.
+	table  []tableSlot
+	keyBuf []byte
+	counts []int32
+	part   Partition
 
-	keyBuf  []byte
-	assign  []int32
-	counts  []int32
-	bs      []bucket
-	outPtrs []*bucket
-	offs    []int32
-	cur     []int32
+	scoreArena arena[float64]
+	itemArena  arena[dataset.ItemID]
 
-	memberArena []dataset.UserID
-	scoreArena  arena[float64]
-	itemArena   arena[dataset.ItemID]
-
-	ranked []rankedBucket
-	tasks  []groupTask
-	groups []Group
-	errs   []error
-	rest   []dataset.UserID
-	excl   []dataset.UserIdx
-	midx   []dataset.UserIdx
-	topk   semantics.TopKScratch
-	oracle localOracle
+	ranked   []rankedBucket
+	selected []bool // plan's L-1 buckets, by bucket; all false between plans
+	tasks    []groupTask
+	groups   []Group
+	errs     []error
+	rest     []dataset.UserID
+	excl     []dataset.UserIdx
+	midx     []dataset.UserIdx
+	topk     semantics.TopKScratch
+	oracle   localOracle
 
 	result Result
 }
@@ -131,23 +121,14 @@ type Scratch struct {
 // NewScratch returns an empty Scratch.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// scratchPool backs Form, FormWithPrefs and BucketizeShard, so
-// one-shot callers still reuse a warm scratch across calls.
+// scratchPool backs Form, FormWithPrefs, BucketizeShard and
+// NewPartition, so one-shot callers still reuse a warm scratch across
+// calls.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
-// begin readies the scratch for one run: the per-run key mapping is
-// reset and the arenas rewind over their retained blocks.
+// begin readies the scratch for one run: the arenas rewind over their
+// retained blocks.
 func (s *Scratch) begin() {
-	if s.intern == nil || len(s.keys) > maxInternedKeys {
-		s.intern = make(map[string]int32)
-		s.keys = s.keys[:0]
-		s.keyToBucket = s.keyToBucket[:0]
-		s.touchedKeys = s.touchedKeys[:0]
-	}
-	for _, id := range s.touchedKeys {
-		s.keyToBucket[id] = -1
-	}
-	s.touchedKeys = s.touchedKeys[:0]
 	s.scoreArena.reset()
 	s.itemArena.reset()
 }

@@ -68,39 +68,42 @@ type ShardPass struct {
 // shard's members in ascending user order: LM keeps the first minimum,
 // AV sums left to right.
 func BucketizeShard(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList) (*ShardPass, error) {
+	return BucketizeShardWithPartition(ctx, ds, cfg, prefs, nil)
+}
+
+// BucketizeShardWithPartition is BucketizeShard copying its buckets
+// out of part, cfg's cached pass over prefs (NewPartition), instead of
+// bucketizing; a nil part bucketizes on a pooled scratch.
+func BucketizeShardWithPartition(ctx context.Context, ds *dataset.Dataset, cfg Config, prefs []rank.PrefList, part *Partition) (*ShardPass, error) {
 	prefs, err := prepare(ctx, ds, cfg, prefs)
 	if err != nil {
 		return nil, err
 	}
 	s := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(s)
-	s.begin()
-	bs := s.bucketize(prefs, cfg)
-	// The wire-safe copies are carved from one fresh array per slice
-	// kind, as Result.clone does, so a pass costs a handful of
-	// allocations whatever its bucket count.
-	var nk, ni, nm int
-	for _, b := range bs {
-		nk, ni, nm = nk+len(b.key), ni+len(b.items), nm+len(b.members)
+	p, err := s.usePartition(ds, cfg, prefs, part)
+	if err != nil {
+		return nil, err
 	}
-	keys := make([]byte, 0, nk)
-	items := make([]dataset.ItemID, 0, ni)
-	scores := make([]float64, 0, ni)
-	members := make([]dataset.UserID, 0, nm)
-	out := make([]ShardBucket, len(bs))
-	for i, b := range bs {
+	// The wire-safe copies are one fresh array per slice kind, as
+	// Result.clone does, so a pass costs a handful of allocations
+	// whatever its bucket count.
+	keys, items, scores, members := slices.Clone(p.keys), slices.Clone(p.items), slices.Clone(p.scores), slices.Clone(p.members)
+	out := make([]ShardBucket, p.buckets())
+	for b := range out {
 		// The copies can add up to the whole slice's ratings; keep the
 		// bucketize cadence through the copy-out.
 		if err := gferr.Ctx(ctx); err != nil {
 			return nil, err
 		}
-		lo := len(keys)
-		keys = append(keys, b.key...)
-		out[i] = ShardBucket{
-			Key:     keys[lo:len(keys):len(keys)],
-			Items:   carve(&items, b.items),
-			Scores:  carve(&scores, b.scores),
-			Members: carve(&members, b.members),
+		klo, khi := p.keyOffs[b], p.keyOffs[b+1]
+		ilo, ihi := p.listOffs[b], p.listOffs[b+1]
+		mlo, mhi := p.offs[b], p.offs[b+1]
+		out[b] = ShardBucket{
+			Key:     keys[klo:khi:khi],
+			Items:   items[ilo:ihi:ihi],
+			Scores:  scores[ilo:ihi:ihi],
+			Members: members[mlo:mhi:mhi],
 		}
 	}
 	return &ShardPass{Buckets: out, Users: len(prefs), Bound: BoundContribution(prefs, cfg)}, nil
@@ -224,8 +227,7 @@ func FinalizeMerged(ctx context.Context, cfg Config, merged []ShardBucket, o Sco
 	if err := gferr.Ctx(ctx); err != nil {
 		return nil, err
 	}
-	bs := make([]bucket, len(merged))
-	buckets := make([]*bucket, len(merged))
+	var nk, ni, nm int
 	//gfvet:allow ctxcadence -- O(buckets) field validation, two comparisons per iteration; nothing blocks
 	for i, sb := range merged {
 		if len(sb.Members) == 0 {
@@ -234,11 +236,33 @@ func FinalizeMerged(ctx context.Context, cfg Config, merged []ShardBucket, o Sco
 		if len(sb.Items) != len(sb.Scores) {
 			return nil, gferr.BadConfigf("core: merged bucket %d has %d items but %d scores", i, len(sb.Items), len(sb.Scores))
 		}
-		bs[i] = bucket{key: string(sb.Key), items: sb.Items, scores: sb.Scores, members: sb.Members}
-		buckets[i] = &bs[i]
+		nk, ni, nm = nk+len(sb.Key), ni+len(sb.Items), nm+len(sb.Members)
 	}
-	tasks := NewScratch().plan(buckets, cfg, nil)
-	res := &Result{Groups: make([]Group, len(tasks)), Buckets: len(buckets), Algorithm: cfg.AlgorithmName()}
+	// The plan reads ascending members: each bucket's arrive in shard
+	// order, which is ascending only for contiguous ascending shards.
+	p := &Partition{
+		keys:     make([]byte, 0, nk),
+		keyOffs:  append(make([]int32, 0, len(merged)+1), 0),
+		items:    make([]dataset.ItemID, 0, ni),
+		scores:   make([]float64, 0, ni),
+		listOffs: append(make([]int32, 0, len(merged)+1), 0),
+		members:  make([]dataset.UserID, 0, nm),
+		offs:     append(make([]int32, 0, len(merged)+1), 0),
+	}
+	//gfvet:allow ctxcadence -- one copy and one sort of a bucket's members per iteration, O(users) in all; finalization polls between groups
+	for _, sb := range merged {
+		p.keys = append(p.keys, sb.Key...)
+		p.keyOffs = append(p.keyOffs, int32(len(p.keys)))
+		p.items = append(p.items, sb.Items...)
+		p.scores = append(p.scores, sb.Scores...)
+		p.listOffs = append(p.listOffs, int32(len(p.items)))
+		lo := len(p.members)
+		p.members = append(p.members, sb.Members...)
+		sortUsers(p.members[lo:])
+		p.offs = append(p.offs, int32(len(p.members)))
+	}
+	tasks := NewScratch().plan(p, cfg, nil)
+	res := &Result{Groups: make([]Group, len(tasks)), Buckets: p.buckets(), Algorithm: cfg.AlgorithmName()}
 	var rec probeRecorder
 	var asked []int
 	for i, t := range tasks {

@@ -20,11 +20,20 @@ import (
 // bucketize hashes every user's preference list into intermediate
 // groups under the configured key (step 1 of the framework), in
 // first-seen order, on a throwaway scratch — the serial reference the
-// shard-merge tests pin MergeShardBuckets against.
-func bucketize(prefs []rank.PrefList, cfg Config) []*bucket {
-	s := NewScratch()
-	s.begin()
-	return s.bucketize(prefs, cfg)
+// shard-merge tests pin MergeShardBuckets against — and lists them as
+// wire records.
+func bucketize(prefs []rank.PrefList, cfg Config) []ShardBucket {
+	return partitionBuckets(NewScratch().bucketize(prefs, cfg))
+}
+
+// partitionBuckets lists p's buckets as wire records aliasing p.
+func partitionBuckets(p *Partition) []ShardBucket {
+	out := make([]ShardBucket, p.buckets())
+	for b := range out {
+		items, scores := p.list(b)
+		out[b] = ShardBucket{Key: p.key(b), Items: items, Scores: scores, Members: p.membersOf(b)}
+	}
+	return out
 }
 
 // shardedForm runs the full scatter-gather pipeline in-process: cut
@@ -176,7 +185,7 @@ func TestShardedFormAVBound(t *testing.T) {
 			}
 			for i, m := range merged {
 				for j, v := range m.Scores {
-					if d := math.Abs(v - serial[i].scores[j]); d > slack {
+					if d := math.Abs(v - serial[i].Scores[j]); d > slack {
 						t.Fatalf("AV-%s shards=%d: bucket %d score %d drift %g > %g", agg, s, i, j, d, slack)
 					}
 				}
@@ -259,13 +268,13 @@ func TestMergeShardBucketsMatchesSerial(t *testing.T) {
 				}
 				for i, m := range merged {
 					want := serial[i]
-					if string(m.Key) != want.key {
+					if string(m.Key) != string(want.Key) {
 						t.Fatalf("%s-%s shards=%d: bucket %d key mismatch", sem, agg, s, i)
 					}
-					if !reflect.DeepEqual(m.Items, want.items) || !reflect.DeepEqual(m.Members, want.members) {
+					if !reflect.DeepEqual(m.Items, want.Items) || !reflect.DeepEqual(m.Members, want.Members) {
 						t.Fatalf("%s-%s shards=%d: bucket %d items/members mismatch", sem, agg, s, i)
 					}
-					if sem == semantics.LM && !reflect.DeepEqual(m.Scores, want.scores) {
+					if sem == semantics.LM && !reflect.DeepEqual(m.Scores, want.Scores) {
 						t.Fatalf("%s-%s shards=%d: bucket %d scores mismatch", sem, agg, s, i)
 					}
 				}

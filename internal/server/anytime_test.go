@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"groupform/internal/semantics"
+	"groupform/internal/solver"
 	"groupform/internal/wire"
 )
 
@@ -61,15 +62,21 @@ func postWithTrip(t *testing.T, s *Server, path string, body []byte, n int, bina
 // across every solver touchpoint, each outcome is either 200 with a
 // complete result, 200 with degraded:true and a sound certificate, or
 // 499 — and 499 appears only when the solve had nothing feasible yet.
-// Without anytime, the same trips all surface as 499.
+// The sweep runs twice: over requests served from the engine's cached
+// bucket partition, and over the request that fills it, where a trip
+// mid-fill leaves the slot empty for a later request to fill. Without
+// anytime, the same trips all surface as 499.
 func TestFormAnytimeDegradedVsCanceled(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 	body := []byte(`{"dataset":"main","k":3,"l":5,"semantics":"lm","agg":"min","anytime":true}`)
 
-	// Warm the engine's preference-list cache so every sweep run takes
-	// the same code path (the first request builds the lists).
-	if rec := doJSON(t, srv, "POST", "/form", body); rec.Code != 200 {
-		t.Fatalf("warmup: %d %s", rec.Code, rec.Body.String())
+	// Warm twice so every sweep run takes the same code path: the
+	// first request builds the preference lists, the second fills the
+	// bucket partition, and every later one starts from it.
+	for i := 0; i < 2; i++ {
+		if rec := doJSON(t, srv, "POST", "/form", body); rec.Code != 200 {
+			t.Fatalf("warmup %d: %d %s", i, rec.Code, rec.Body.String())
+		}
 	}
 	rec, probe := postWithTrip(t, srv, "/form", body, tripProbe, false)
 	if rec.Code != 200 || probe.tripped {
@@ -80,38 +87,45 @@ func TestFormAnytimeDegradedVsCanceled(t *testing.T) {
 	sawDegraded, sawCanceled := false, false
 	for n := 0; n <= calls; n++ {
 		rec, _ := postWithTrip(t, srv, "/form", body, n, false)
-		switch rec.Code {
-		case 200:
-			fr := decodeAs[FormResponse](t, rec)
-			if n < calls && !fr.Degraded {
-				t.Fatalf("trip %d: 200 without degraded flag despite a mid-solve trip", n)
-			}
-			if fr.Degraded {
-				sawDegraded = true
-				if len(fr.Groups) == 0 {
-					t.Fatalf("trip %d: degraded response carries no groups", n)
-				}
-				if fr.Bound <= 0 || math.Abs(fr.Gap-(fr.Bound-fr.Objective)) > 1e-6 {
-					t.Fatalf("trip %d: certificate bound=%v gap=%v objective=%v inconsistent",
-						n, fr.Bound, fr.Gap, fr.Objective)
-				}
-				if fr.Completed <= 0 || fr.Total < fr.Completed {
-					t.Fatalf("trip %d: certificate progress %d/%d malformed", n, fr.Completed, fr.Total)
-				}
-			}
-		case StatusClientClosedRequest:
-			sawCanceled = true
-			eb := decodeAs[ErrorBody](t, rec)
-			if eb.Code != CodeCanceled {
-				t.Fatalf("trip %d: 499 code %q, want %q", n, eb.Code, CodeCanceled)
-			}
-		default:
-			t.Fatalf("trip %d: status %d: %s", n, rec.Code, rec.Body.String())
-		}
+		degraded, canceled := checkAnytimeOutcome(t, n, rec, n < calls)
+		sawDegraded, sawCanceled = sawDegraded || degraded, sawCanceled || canceled
 	}
 	if !sawDegraded || !sawCanceled {
 		t.Fatalf("sweep did not reach both outcomes: degraded=%v canceled=%v (calls=%d)",
 			sawDegraded, sawCanceled, calls)
+	}
+	if st := engineStats(t, srv); st.PartitionBuilds != 1 {
+		t.Fatalf("cached sweep refilled the partition: %+v", st)
+	}
+
+	// The fill request: one warm-up marks the slot, so each request
+	// below fills it until a trip lands after the fill.
+	fill, _ := newTestServer(t, Config{})
+	if rec := doJSON(t, fill, "POST", "/form", body); rec.Code != 200 {
+		t.Fatalf("fill warmup: %d %s", rec.Code, rec.Body.String())
+	}
+	emptied := 0
+	for n := 0; engineStats(t, fill).PartitionBuilds == 0; n++ {
+		if n > calls {
+			t.Fatalf("no trip up to %d filled the partition", n)
+		}
+		rec, _ := postWithTrip(t, fill, "/form", body, n, false)
+		checkAnytimeOutcome(t, n, rec, true)
+		if engineStats(t, fill).PartitionBuilds == 0 {
+			if rec.Code != StatusClientClosedRequest {
+				t.Fatalf("fill trip %d: slot left empty, yet status %d", n, rec.Code)
+			}
+			emptied++
+		}
+	}
+	if emptied == 0 {
+		t.Fatal("no trip landed mid-fill")
+	}
+	if rec := doJSON(t, fill, "POST", "/form", body); rec.Code != 200 {
+		t.Fatalf("after the fill sweep: %d %s", rec.Code, rec.Body.String())
+	}
+	if st := engineStats(t, fill); st.PartitionBuilds != 1 || st.PartitionHits != 1 {
+		t.Fatalf("after the fill sweep: %+v, want 1 build and 1 hit", st)
 	}
 
 	// Compatibility: the identical sweep without anytime never
@@ -123,6 +137,53 @@ func TestFormAnytimeDegradedVsCanceled(t *testing.T) {
 			t.Fatalf("trip %d without anytime: status %d, want 499", n, rec.Code)
 		}
 	}
+}
+
+// checkAnytimeOutcome fails t unless rec is one anytime outcome of a
+// JSON /form request tripped at n: a complete 200 (only when tripped
+// is false), a degraded 200 with a sound certificate, or a 499. It
+// reports which of the last two it was.
+func checkAnytimeOutcome(t *testing.T, n int, rec *httptest.ResponseRecorder, tripped bool) (degraded, canceled bool) {
+	t.Helper()
+	switch rec.Code {
+	case 200:
+		fr := decodeAs[FormResponse](t, rec)
+		if tripped && !fr.Degraded {
+			t.Fatalf("trip %d: 200 without degraded flag despite a mid-solve trip", n)
+		}
+		if fr.Degraded {
+			if len(fr.Groups) == 0 {
+				t.Fatalf("trip %d: degraded response carries no groups", n)
+			}
+			if fr.Bound <= 0 || math.Abs(fr.Gap-(fr.Bound-fr.Objective)) > 1e-6 {
+				t.Fatalf("trip %d: certificate bound=%v gap=%v objective=%v inconsistent",
+					n, fr.Bound, fr.Gap, fr.Objective)
+			}
+			if fr.Completed <= 0 || fr.Total < fr.Completed {
+				t.Fatalf("trip %d: certificate progress %d/%d malformed", n, fr.Completed, fr.Total)
+			}
+		}
+		return fr.Degraded, false
+	case StatusClientClosedRequest:
+		eb := decodeAs[ErrorBody](t, rec)
+		if eb.Code != CodeCanceled {
+			t.Fatalf("trip %d: 499 code %q, want %q", n, eb.Code, CodeCanceled)
+		}
+		return false, true
+	default:
+		t.Fatalf("trip %d: status %d: %s", n, rec.Code, rec.Body.String())
+	}
+	return false, false
+}
+
+// engineStats is the cache counters of the engine serving "main".
+func engineStats(t *testing.T, s *Server) solver.EngineStats {
+	t.Helper()
+	eng, _, ok := s.reg.Get("main")
+	if !ok {
+		t.Fatal("no engine serves main")
+	}
+	return eng.Stats()
 }
 
 // TestFormWireAnytimeDegraded covers the binary wire path: an anytime
@@ -142,10 +203,13 @@ func TestFormWireAnytimeDegraded(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("untripped binary request: %d %s", rec.Code, rec.Body.String())
 	}
-	// The first request built the preference lists; re-probe warm.
-	rec, probe = postWithTrip(t, srv, "/form", frame, tripProbe, true)
-	if rec.Code != 200 || probe.tripped {
-		t.Fatalf("warm binary request: %d (tripped=%v)", rec.Code, probe.tripped)
+	// The first request built the preference lists and the second
+	// fills the bucket partition; re-probe on the cached path.
+	for i := 0; i < 2; i++ {
+		rec, probe = postWithTrip(t, srv, "/form", frame, tripProbe, true)
+		if rec.Code != 200 || probe.tripped {
+			t.Fatalf("warm binary request: %d (tripped=%v)", rec.Code, probe.tripped)
+		}
 	}
 	calls := tripProbe - probe.remaining
 

@@ -173,11 +173,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.WriteRatioHistogram(&b, "groupform_degraded_gap_ratio", "",
 		s.met.degradedGap.Snapshot())
 
+	counts := s.reg.requestCounts()
 	metrics.WriteHeader(&b, "groupform_dataset_requests_total", "counter",
 		"Requests resolved against each dataset (solves and upserts).")
-	for _, dc := range s.reg.requestCounts() {
+	for _, dc := range counts {
 		metrics.WriteCounter(&b, "groupform_dataset_requests_total",
 			`dataset="`+dc.name+`"`, dc.requests)
+	}
+	metrics.WriteHeader(&b, "groupform_engine_cache_total", "counter",
+		"Engine cache activity per dataset: preference-list and bucket-partition builds and hits, cumulative across ingest.")
+	for _, dc := range counts {
+		for _, c := range []struct {
+			labels string
+			v      uint64
+		}{
+			{`cache="prefs",event="build"`, dc.cache.PrefBuilds},
+			{`cache="prefs",event="hit"`, dc.cache.PrefHits},
+			{`cache="partition",event="build"`, dc.cache.PartitionBuilds},
+			{`cache="partition",event="hit"`, dc.cache.PartitionHits},
+		} {
+			metrics.WriteCounter(&b, "groupform_engine_cache_total",
+				`dataset="`+dc.name+`",`+c.labels, int64(c.v))
+		}
 	}
 
 	metrics.WriteHeader(&b, "groupform_inflight", "gauge",

@@ -25,8 +25,9 @@ func scrape(t testing.TB, s *Server) string {
 
 // TestMetricsEndpoint drives a little of everything through the
 // server and asserts the scrape reflects it: per-endpoint counters
-// and populated histograms, per-dataset counts, the binary-response
-// counter, and a zero leased gauge once traffic stops.
+// and populated histograms, per-dataset counts and engine cache
+// counters, the binary-response counter, and a zero leased gauge once
+// traffic stops.
 func TestMetricsEndpoint(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	p := FormParams{K: 3, L: 6, Semantics: "lm", Aggregation: "min"}
@@ -55,6 +56,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		`groupform_binary_responses_total 1`,
 		`groupform_scratch_leased 0`,
 		`groupform_shed_total 0`,
+		// Five LM-MIN K=3 solves: the first builds the preference
+		// lists, the second fills the bucket partition, and the JSON
+		// form, the binary form and the grd solve after it start from
+		// the partition.
+		`groupform_engine_cache_total{dataset="main",cache="prefs",event="build"} 1`,
+		`groupform_engine_cache_total{dataset="main",cache="prefs",event="hit"} 4`,
+		`groupform_engine_cache_total{dataset="main",cache="partition",event="build"} 1`,
+		`groupform_engine_cache_total{dataset="main",cache="partition",event="hit"} 3`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q in:\n%s", want, text)

@@ -153,19 +153,22 @@ func (r *Registry) Infos() map[string]DatasetInfo {
 	return out
 }
 
-// datasetCount is one per-dataset request count for GET /metrics.
+// datasetCount is one dataset's request count and engine cache
+// counters for GET /metrics.
 type datasetCount struct {
 	name     string
 	requests int64
+	cache    solver.EngineStats
 }
 
-// requestCounts snapshots the per-dataset request counters, sorted
-// by name for stable exposition output.
+// requestCounts snapshots the per-dataset request counters and the
+// cache counters of the engine serving each name, sorted by name for
+// stable exposition output.
 func (r *Registry) requestCounts() []datasetCount {
 	r.mu.RLock()
 	out := make([]datasetCount, 0, len(r.entries))
 	for n, e := range r.entries {
-		out = append(out, datasetCount{name: n, requests: e.requests.Value()})
+		out = append(out, datasetCount{name: n, requests: e.requests.Value(), cache: e.eng.Stats()})
 	}
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })

@@ -46,7 +46,7 @@ func TestServerFormSteadyStateZeroAlloc(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// Warm: pref-list cache, scratch arenas, intern table.
+	// Warm: pref-list cache, bucket partition, scratch arenas.
 	for i := 0; i < 3; i++ {
 		res, sc, err := s.formOnScratch(ctx, eng, cfg)
 		if err != nil {

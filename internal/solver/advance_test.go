@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -38,7 +40,9 @@ func wantStats(t *testing.T, e *Engine, tag string, want EngineStats) {
 
 // TestAdvanceStatsSequence drives one engine chain through a partial
 // invalidation, a compaction rebind and a full invalidation,
-// asserting the exact EngineStats after every step.
+// asserting the exact EngineStats after every step: the preference
+// counters, and the partition counters of one LM-SUM slot that fills
+// on its second request, drops on an upsert and rides a compaction.
 func TestAdvanceStatsSequence(t *testing.T) {
 	ctx := context.Background()
 	ds := advanceDS(t)
@@ -50,14 +54,24 @@ func TestAdvanceStatsSequence(t *testing.T) {
 	if _, err := eng.Form(ctx, cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Aggregation = semantics.Sum // same (K, Missing) slot
+	cfg.Aggregation = semantics.Sum // same (K, Missing) slot, another partition kind
 	if _, err := eng.Form(ctx, cfg); err != nil {
 		t.Fatal(err)
 	}
 	wantStats(t, eng, "warm base", EngineStats{PrefBuilds: 1, PrefHits: 1})
+	form := func(e *Engine) {
+		t.Helper()
+		if _, err := e.Form(ctx, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	form(eng) // the LM-SUM partition's second request fills it
+	wantStats(t, eng, "partition filled", EngineStats{PrefBuilds: 1, PrefHits: 2, PartitionBuilds: 1})
+	form(eng)
+	wantStats(t, eng, "partition hit", EngineStats{PrefBuilds: 1, PrefHits: 3, PartitionBuilds: 1, PartitionHits: 1})
 
 	// Re-rate one of user 2's existing items: exactly one dirty row,
-	// no new users or items.
+	// no new users or items. The partition drops with it.
 	ds2, res, err := ds.Upsert([]dataset.Rating{{User: 2, Item: 3, Value: 5}})
 	if err != nil {
 		t.Fatal(err)
@@ -67,35 +81,33 @@ func TestAdvanceStatsSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStats(t, eng2, "after upsert", EngineStats{
-		PrefBuilds: 1, PrefHits: 1,
+		PrefBuilds: 1, PrefHits: 3, PartitionBuilds: 1, PartitionHits: 1,
 		PartialInvalidations: 1, RowsPatched: 1, RowsReused: 3,
 	})
 	// The receiver keeps its own counters.
-	wantStats(t, eng, "old engine untouched", EngineStats{PrefBuilds: 1, PrefHits: 1})
-	// The carried cache serves the derived engine without a rebuild.
-	if _, err := eng2.Form(ctx, cfg); err != nil {
-		t.Fatal(err)
-	}
+	wantStats(t, eng, "old engine untouched", EngineStats{PrefBuilds: 1, PrefHits: 3, PartitionBuilds: 1, PartitionHits: 1})
+	// The carried lists serve the derived engine without a rebuild; its
+	// partition refills on the second request.
+	form(eng2)
+	form(eng2)
 	wantStats(t, eng2, "warm after upsert", EngineStats{
-		PrefBuilds: 1, PrefHits: 2,
+		PrefBuilds: 1, PrefHits: 5, PartitionBuilds: 2, PartitionHits: 1,
 		PartialInvalidations: 1, RowsPatched: 1, RowsReused: 3,
 	})
 
 	// Compaction is a pure rebind: zero patched rows, every row
-	// reused, no new partial invalidation.
+	// reused, no new partial invalidation, and the partition carried.
 	eng3, err := eng2.Advance(ds2.Compact(), dataset.UpsertResult{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantStats(t, eng3, "after compaction", EngineStats{
-		PrefBuilds: 1, PrefHits: 2,
+		PrefBuilds: 1, PrefHits: 5, PartitionBuilds: 2, PartitionHits: 1,
 		PartialInvalidations: 1, RowsPatched: 1, RowsReused: 7,
 	})
-	if _, err := eng3.Form(ctx, cfg); err != nil {
-		t.Fatal(err)
-	}
+	form(eng3)
 	wantStats(t, eng3, "warm after compaction", EngineStats{
-		PrefBuilds: 1, PrefHits: 3,
+		PrefBuilds: 1, PrefHits: 6, PartitionBuilds: 2, PartitionHits: 2,
 		PartialInvalidations: 1, RowsPatched: 1, RowsReused: 7,
 	})
 
@@ -124,14 +136,12 @@ func TestAdvanceStatsSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantStats(t, eng5, "after rebuild", EngineStats{
-		PrefBuilds: 1, PrefHits: 3, FullInvalidations: 1,
+		PrefBuilds: 1, PrefHits: 6, PartitionBuilds: 2, PartitionHits: 2, FullInvalidations: 1,
 		PartialInvalidations: 2, RowsPatched: 3, RowsReused: 9,
 	})
-	if _, err := eng5.Form(ctx, cfg); err != nil {
-		t.Fatal(err)
-	}
+	form(eng5)
 	wantStats(t, eng5, "cold after rebuild", EngineStats{
-		PrefBuilds: 2, PrefHits: 3, FullInvalidations: 1,
+		PrefBuilds: 2, PrefHits: 6, PartitionBuilds: 2, PartitionHits: 2, FullInvalidations: 1,
 		PartialInvalidations: 2, RowsPatched: 3, RowsReused: 9,
 	})
 }
@@ -237,7 +247,11 @@ func TestAdvancePointerIdentity(t *testing.T) {
 // triggers) and compactions, where after every mutation the advanced
 // engine's Form output across LM/AV × Max/Min/Sum × workers 1/8 is
 // compared against a from-scratch dataset build plus a fresh Engine —
-// the oracle that owns no cache to get wrong.
+// the oracle that owns no cache to get wrong. Each configuration is
+// formed three times per step, so every partition kind runs the
+// bucketizing pass, the fill and the cached path (or, after a
+// compaction, the carried partition), and all three must give the
+// oracle's bytes.
 func TestEngineMetamorphicInterleaving(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(6))
@@ -280,18 +294,29 @@ func TestEngineMetamorphicInterleaving(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := eng.Stats()
 		for ci, cfg := range cfgs {
-			got, err := eng.Form(ctx, cfg)
-			if err != nil {
-				t.Fatalf("step %d cfg %d: %v", step, ci, err)
-			}
 			want, err := oracle.Form(ctx, cfg)
 			if err != nil {
 				t.Fatalf("step %d cfg %d oracle: %v", step, ci, err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d cfg %+v: advanced engine diverged from from-scratch oracle", step, cfg)
+			wantBytes := resultBytes(t, want)
+			for pass := 0; pass < 3; pass++ {
+				got, err := eng.Form(ctx, cfg)
+				if err != nil {
+					t.Fatalf("step %d cfg %d pass %d: %v", step, ci, pass, err)
+				}
+				if !bytes.Equal(resultBytes(t, got), wantBytes) {
+					t.Fatalf("step %d cfg %+v pass %d: advanced engine diverged from from-scratch oracle", step, cfg, pass)
+				}
 			}
+		}
+		// Every kind's partition is filled or carried by now, and the
+		// later passes started from it.
+		after := eng.Stats()
+		if after.PartitionBuilds-before.PartitionBuilds > core.PartitionKinds || after.PartitionHits == before.PartitionHits {
+			t.Fatalf("step %d: partition builds %d -> %d, hits %d -> %d", step,
+				before.PartitionBuilds, after.PartitionBuilds, before.PartitionHits, after.PartitionHits)
 		}
 	}
 
@@ -338,4 +363,15 @@ func TestEngineMetamorphicInterleaving(t *testing.T) {
 		}
 		check(step)
 	}
+}
+
+// resultBytes is r's JSON encoding: floats by their shortest exact
+// decimal, so equal bytes mean equal bits.
+func resultBytes(t *testing.T, r *core.Result) []byte {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -12,29 +12,40 @@ import (
 )
 
 // Engine binds a Dataset once and amortizes the expensive shared
-// per-dataset state across solves: the O(nk) preference-list
-// construction of internal/rank, keyed by (K, Missing), survives
-// between calls, so repeated Engine.Form runs with different L,
-// semantics or aggregation skip straight to bucketizing — the
-// serving-path win when one catalog answers many formation requests.
-// Cached lists are arena-backed (two flat arrays per cache slot, see
-// rank.AllTopKParallel), so a warm Engine holds the dataset's CSR
-// arrays plus one 2*n*k-element arena per (K, Missing) key and almost
-// nothing else.
+// per-dataset state across solves. Two caches, both per (K, Missing):
 //
-// An Engine is safe for concurrent use. Cached preference lists are
-// shared read-only between concurrent solves (buckets fold into
-// copies of their score positions), and results are byte-identical
-// to the one-shot core.Form path. Form's Results are caller-owned:
-// they share no memory with the cache or with any scratch.
+//   - the O(nk) preference lists of internal/rank, built on the first
+//     request for the key, so repeated Engine.Form runs with different
+//     L, semantics or aggregation skip the list construction. They are
+//     arena-backed (two flat arrays per slot, see
+//     rank.AllTopKParallel);
+//   - beside each slot's lists, one read-only bucket partition per
+//     hashing-key kind (core.PartitionKind: LM-MIN, LM-MAX, LM-SUM and
+//     the weighted sums, and one AV partition every unweighted AV
+//     aggregation shares), so a request whose partition is cached
+//     starts at the plan: bucketizing does not depend on L. A
+//     partition is filled by the second request for it, never the
+//     first (an engine an ingest stream replaces every few requests
+//     should not pay fills it never uses), and no request ever waits
+//     on another's fill: while one is in flight the others bucketize
+//     on their own scratch. Weighted AV always bucketizes.
+//
+// An Engine is safe for concurrent use. Cached lists and partitions
+// are shared read-only between concurrent solves, and results are
+// byte-identical to the one-shot core.Form path. FormInto's Results
+// may alias a cached partition (read-only, like everything a borrowed
+// Result points into); Form's Results are caller-owned: they share no
+// memory with the caches or with any scratch.
 type Engine struct {
 	ds *dataset.Dataset
 
 	mu    sync.Mutex // guards the prefs map only, never held during builds
 	prefs map[prefKey]*prefEntry
 
-	prefBuilds atomic.Uint64
-	prefHits   atomic.Uint64
+	prefBuilds      atomic.Uint64
+	prefHits        atomic.Uint64
+	partitionBuilds atomic.Uint64
+	partitionHits   atomic.Uint64
 
 	// Advance accounting; cumulative across the whole Advance chain
 	// (each derived Engine starts from its predecessor's totals).
@@ -59,7 +70,24 @@ type prefEntry struct {
 	building bool
 	done     chan struct{}   // closed when the in-flight build attempt ends
 	lists    []rank.PrefList // nil until a build succeeds
+	parts    [core.PartitionKinds]partSlot
 }
+
+// partSlot is one kind's bucket partition over a slot's lists. state
+// counts the requests that found no partition up to the fill: the
+// first request only marks the slot seen, the second claims the fill,
+// and a failed fill hands the claim back to the next request.
+type partSlot struct {
+	part  atomic.Pointer[core.Partition]
+	state atomic.Int32
+}
+
+// Partition slot states.
+const (
+	partUnseen int32 = iota
+	partSeen
+	partFilling
+)
 
 // EngineStats counts cache activity; see Engine.Stats.
 type EngineStats struct {
@@ -68,6 +96,11 @@ type EngineStats struct {
 	PrefBuilds uint64
 	// PrefHits is the number of solves served from the cache.
 	PrefHits uint64
+	// PartitionBuilds is the number of bucket partitions filled, and
+	// PartitionHits the number of solves that started from a cached
+	// one (a fill request counts as a build, not a hit).
+	PartitionBuilds uint64
+	PartitionHits   uint64
 
 	// PartialInvalidations counts cache slots carried across an
 	// Advance with at least one row rebuilt (a surgical patch, not a
@@ -101,6 +134,8 @@ func (e *Engine) Stats() EngineStats {
 	return EngineStats{
 		PrefBuilds:           e.prefBuilds.Load(),
 		PrefHits:             e.prefHits.Load(),
+		PartitionBuilds:      e.partitionBuilds.Load(),
+		PartitionHits:        e.partitionHits.Load(),
 		PartialInvalidations: e.partialInvalidations.Load(),
 		FullInvalidations:    e.fullInvalidations.Load(),
 		RowsPatched:          e.rowsPatched.Load(),
@@ -124,7 +159,10 @@ func (e *Engine) Stats() EngineStats {
 // index order, which a slot (built with K at most the old item count)
 // always finds among the old items. dataset.Compact preserves index
 // assignment, so an Advance with a zero delta (the compaction
-// republish) is a pure rebind that keeps the warm cache.
+// republish) is a pure rebind that keeps the warm cache, filled bucket
+// partitions included. A slot with any row re-ranked drops its
+// partitions, since one moved user can change a bucket's scores or
+// members; the successor refills them on demand.
 //
 // If the delta took the rebuild fallback (delta.Rebuilt), indices
 // were renumbered and every cached list is dropped. In-flight builds
@@ -138,6 +176,8 @@ func (e *Engine) Advance(ds *dataset.Dataset, delta dataset.UpsertResult) (*Engi
 	}
 	ne.prefBuilds.Store(e.prefBuilds.Load())
 	ne.prefHits.Store(e.prefHits.Load())
+	ne.partitionBuilds.Store(e.partitionBuilds.Load())
+	ne.partitionHits.Store(e.partitionHits.Load())
 	ne.partialInvalidations.Store(e.partialInvalidations.Load())
 	ne.fullInvalidations.Store(e.fullInvalidations.Load())
 	ne.rowsPatched.Store(e.rowsPatched.Load())
@@ -151,14 +191,14 @@ func (e *Engine) Advance(ds *dataset.Dataset, delta dataset.UpsertResult) (*Engi
 	// Snapshot completed slots under the lock; builds are never run
 	// while holding it, so this cannot stall old-engine traffic.
 	type snap struct {
-		key   prefKey
-		lists []rank.PrefList
+		key prefKey
+		ent *prefEntry
 	}
 	e.mu.Lock()
 	snaps := make([]snap, 0, len(e.prefs))
 	for key, ent := range e.prefs {
 		if ent.lists != nil {
-			snaps = append(snaps, snap{key: key, lists: ent.lists})
+			snaps = append(snaps, snap{key: key, ent: ent})
 		}
 	}
 	e.mu.Unlock()
@@ -175,11 +215,12 @@ func (e *Engine) Advance(ds *dataset.Dataset, delta dataset.UpsertResult) (*Engi
 	}
 
 	for _, sn := range snaps {
+		lists := sn.ent.lists
 		out := make([]rank.PrefList, n)
 		patched, reused := 0, 0
 		for r := 0; r < n; r++ {
-			if r < len(sn.lists) && !dirty[r] {
-				out[r] = sn.lists[r]
+			if r < len(lists) && !dirty[r] {
+				out[r] = lists[r]
 				reused++
 				continue
 			}
@@ -190,9 +231,18 @@ func (e *Engine) Advance(ds *dataset.Dataset, delta dataset.UpsertResult) (*Engi
 			out[r] = pl
 			patched++
 		}
-		ne.prefs[sn.key] = &prefEntry{lists: out}
+		ent := &prefEntry{lists: out}
+		ne.prefs[sn.key] = ent
 		if patched > 0 {
 			ne.partialInvalidations.Add(1)
+		} else {
+			// Every list carried verbatim (the compaction republish):
+			// the filled partitions are this slot's passes too.
+			for i := range ent.parts {
+				if p := sn.ent.parts[i].part.Load(); p != nil {
+					ent.parts[i].part.Store(p)
+				}
+			}
 		}
 		ne.rowsPatched.Add(uint64(patched))
 		ne.rowsReused.Add(uint64(reused))
@@ -200,16 +250,16 @@ func (e *Engine) Advance(ds *dataset.Dataset, delta dataset.UpsertResult) (*Engi
 	return ne, nil
 }
 
-// prefLists returns the cached preference lists for (k, missing),
-// building them on first request. The map lock is held only for slot
-// bookkeeping, never during a build, so a cold build for one key does
-// not stall traffic on other keys; concurrent first requests for one
-// key pay a single build, with waiters parked on a select against
+// prefSlot returns the cache slot for (k, missing) with its lists
+// built, building them on first request. The map lock is held only for
+// slot bookkeeping, never during a build, so a cold build for one key
+// does not stall traffic on other keys; concurrent first requests for
+// one key pay a single build, with waiters parked on a select against
 // their own context (a waiter whose context expires returns
 // ErrCanceled immediately instead of riding out someone else's
 // build). A build aborted by cancellation leaves the slot empty and
 // wakes the waiters, one of which becomes the next builder.
-func (e *Engine) prefLists(ctx context.Context, k int, missing float64, workers int) ([]rank.PrefList, error) {
+func (e *Engine) prefSlot(ctx context.Context, k int, missing float64, workers int) (*prefEntry, error) {
 	key := prefKey{k: k, missing: missing}
 	for {
 		e.mu.Lock()
@@ -221,7 +271,7 @@ func (e *Engine) prefLists(ctx context.Context, k int, missing float64, workers 
 		if ent.lists != nil {
 			e.mu.Unlock()
 			e.prefHits.Add(1)
-			return ent.lists, nil
+			return ent, nil
 		}
 		if !ent.building {
 			ent.building = true
@@ -241,7 +291,7 @@ func (e *Engine) prefLists(ctx context.Context, k int, missing float64, workers 
 				return nil, err
 			}
 			e.prefBuilds.Add(1)
-			return lists, nil
+			return ent, nil
 		}
 		done := ent.done
 		e.mu.Unlock()
@@ -254,57 +304,87 @@ func (e *Engine) prefLists(ctx context.Context, k int, missing float64, workers 
 	}
 }
 
-// Form runs the greedy algorithm (registry name "grd") on the bound
-// dataset, reusing cached preference lists. The formed groups are
-// byte-identical to core.Form's for every cache state and worker
-// count.
-func (e *Engine) Form(ctx context.Context, cfg core.Config) (*core.Result, error) {
+// prepare validates cfg and returns its preference lists and, when
+// cfg has a partition kind and its partition is cached or this request
+// fills it, the partition; nil sends the request down the bucketizing
+// path. A failed fill (a canceled request) returns its error and
+// leaves the slot for the next request to fill.
+func (e *Engine) prepare(ctx context.Context, cfg core.Config) ([]rank.PrefList, *core.Partition, error) {
 	if err := cfg.Validate(e.ds); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	prefs, err := e.prefLists(ctx, cfg.K, cfg.Missing, cfg.EffectiveWorkers())
+	ent, err := e.prefSlot(ctx, cfg.K, cfg.Missing, cfg.EffectiveWorkers())
+	if err != nil {
+		return nil, nil, err
+	}
+	kind, ok := cfg.PartitionKind()
+	if !ok {
+		return ent.lists, nil, nil
+	}
+	ps := &ent.parts[kind]
+	if p := ps.part.Load(); p != nil {
+		e.partitionHits.Add(1)
+		return ent.lists, p, nil
+	}
+	if ps.state.CompareAndSwap(partUnseen, partSeen) || !ps.state.CompareAndSwap(partSeen, partFilling) {
+		return ent.lists, nil, nil
+	}
+	p, err := core.NewPartition(ctx, e.ds, cfg, ent.lists)
+	if err != nil {
+		ps.state.Store(partSeen)
+		return nil, nil, err
+	}
+	ps.part.Store(p)
+	e.partitionBuilds.Add(1)
+	return ent.lists, p, nil
+}
+
+// Form runs the greedy algorithm (registry name "grd") on the bound
+// dataset, reusing cached preference lists and bucket partitions. The
+// formed groups are byte-identical to core.Form's for every cache
+// state and worker count.
+func (e *Engine) Form(ctx context.Context, cfg core.Config) (*core.Result, error) {
+	prefs, part, err := e.prepare(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return core.FormWithPrefs(ctx, e.ds, cfg, prefs)
+	return core.FormWithPartition(ctx, e.ds, cfg, prefs, part)
 }
 
-// FormInto is Form running entirely on the caller's Scratch: with warm
-// preference lists a serial steady-state call performs no allocations,
-// which is the intended per-request serving path — one Scratch per
-// worker goroutine, reused across requests. The returned Result (and
-// everything its Groups point into) is carved from s, so it is valid
-// only until s's next use; callers that need to retain a Result across
-// calls must copy it or use Form. The formed groups are byte-identical
-// to Form's.
+// FormInto is Form running entirely on the caller's Scratch: with a
+// cached partition a serial steady-state call performs no
+// allocations, which is the intended per-request serving path — one
+// Scratch per worker goroutine, reused across requests. The returned
+// Result is borrowed: its groups point into s and into the Engine's
+// read-only partition, so it is valid only until s's next use and must
+// not be written; callers that need to retain a Result across calls
+// must copy it or use Form. The formed groups are byte-identical to
+// Form's.
 //
 //gfvet:zeroalloc
 func (e *Engine) FormInto(ctx context.Context, cfg core.Config, s *core.Scratch) (*core.Result, error) {
-	if err := cfg.Validate(e.ds); err != nil {
-		return nil, err
+	if s == nil {
+		return nil, gferr.BadConfigf("engine: FormInto requires a non-nil Scratch")
 	}
-	prefs, err := e.prefLists(ctx, cfg.K, cfg.Missing, cfg.EffectiveWorkers())
+	prefs, part, err := e.prepare(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return core.FormInto(ctx, e.ds, cfg, prefs, s)
+	return core.FormPartitionInto(ctx, e.ds, cfg, prefs, part, s)
 }
 
 // BucketizeShard runs the scatter half of the distributed greedy
 // pipeline on the bound dataset — an Engine serving one shard's
 // resident slice (dataset.ShardUsers) answers the router's
 // /shard/buckets call through here, reusing the same cached
-// preference lists Form does. The returned pass is wire-safe: no
-// slice aliases the cache or any scratch.
+// preference lists and partitions Form does. The returned pass is
+// wire-safe: no slice aliases the caches or any scratch.
 func (e *Engine) BucketizeShard(ctx context.Context, cfg core.Config) (*core.ShardPass, error) {
-	if err := cfg.Validate(e.ds); err != nil {
-		return nil, err
-	}
-	prefs, err := e.prefLists(ctx, cfg.K, cfg.Missing, cfg.EffectiveWorkers())
+	prefs, part, err := e.prepare(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return core.BucketizeShard(ctx, e.ds, cfg, prefs)
+	return core.BucketizeShardWithPartition(ctx, e.ds, cfg, prefs, part)
 }
 
 // Solve runs any registered solver on the bound dataset. The greedy
